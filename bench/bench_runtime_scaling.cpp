@@ -17,7 +17,6 @@
 #include "core/epoch_pipeline.h"
 #include "core/fault_campaign.h"
 #include "lp/simplex.h"
-#include "ml/oracle.h"
 #include "net/tunnels.h"
 #include "sim/monte_carlo.h"
 #include "te/lp_common.h"
@@ -600,15 +599,15 @@ CutBankSample run_cut_bank_phase(const workload::ContinentalWorkload& w,
   return sample;
 }
 
-// Learned warm-start phase: the oracle's home regime — drifting demands on
-// the continental workload. Demand drift is exactly where the cut bank and
-// basis cache run out of road (the bank requires demand equality; the cache
-// only re-anchors per-LP bases), but the oracle regresses the predicted
-// allocation and drop-set envelope from recent traces, so its hints track
-// the drift. Warm-up epochs harvest cold solver traces online; every gated
-// epoch is then solved twice, cold (the reference) and hinted, and the gate
-// requires every hint verified-accepted, a >= 2x total pivot reduction over
-// the gated tail, and every converged objective bitwise equal to cold.
+// Learned warm-start phase: the hint bank's home regime — drifting demands
+// on the continental workload. Demand drift is exactly where the cut bank
+// and basis cache run out of road (the bank requires demand equality; the
+// cache only re-anchors per-LP bases), but te::HintBank keys its drop-set
+// and Phi-row votes by (flow, pattern), which stay stable under small
+// drift. Warm-up epochs record cold solver traces; every gated epoch is
+// then solved twice, cold (the reference) and hinted, and the gate requires
+// every hint verified-accepted, a >= 2x total pivot reduction over the
+// gated tail, and every converged objective bitwise equal to cold.
 struct WarmStartSample {
   int cold_tail_iterations = 0;
   int hinted_tail_iterations = 0;
@@ -652,7 +651,8 @@ WarmStartSample run_learned_warm_start_phase(
       w.failure_model, config.scenario_gen, reduction);
   const te::ScenarioSet set = source(w.cut_probs);
 
-  ml::WarmStartOracle oracle;
+  const std::uint64_t signature = te::problem_shape_signature(problem);
+  te::HintBank bank;
   WarmStartSample sample;
   for (int e = 0; e < warmup_epochs + gated_epochs; ++e) {
     // Per-epoch demand drift: small enough that the drop-set votes stay
@@ -668,7 +668,7 @@ WarmStartSample run_learned_warm_start_phase(
         te::solve_min_max_benders(problem, set, options);
     sample.all_converged = sample.all_converged && cold.converged;
     if (e >= warmup_epochs) {
-      const auto hint = oracle.predict(problem, w.cut_probs);
+      const auto hint = bank.hint(signature);
       te::MinMaxOptions hinted_options;
       hinted_options.beta = options.beta;
       hinted_options.warm_hint = hint ? &*hint : nullptr;
@@ -686,11 +686,9 @@ WarmStartSample run_learned_warm_start_phase(
           sample.objectives_bitwise_equal && hinted.phi == cold.phi;
       sample.phi_checksum += cold.phi;
     }
-    // Online harvest continues through the gated tail so the regression
-    // keeps tracking the drift — training happens between solves, never
-    // inside one.
-    oracle.observe(problem, w.cut_probs, cold);
-    oracle.train();
+    // Recording continues through the gated tail so the votes keep
+    // tracking the drift.
+    bank.record(signature, cold);
   }
   return sample;
 }
@@ -1058,6 +1056,27 @@ int main(int argc, char** argv) {
   table.add_row({"telemetry", std::to_string(parallel_threads),
                  util::Table::format(t_parallel_telemetry, 2),
                  std::to_string(parallel_telemetry.cuts) + " cuts"});
+  // Solver phases: the LP table below breaks their pivots down by variant.
+  const auto add_solver_rows = [&](const std::string& phase, double serial_s,
+                                   double parallel_s, int serial_pivots,
+                                   int parallel_pivots) {
+    table.add_row({phase, "1", util::Table::format(serial_s, 2),
+                   std::to_string(serial_pivots) + " pivots"});
+    table.add_row({phase, std::to_string(parallel_threads),
+                   util::Table::format(parallel_s, 2),
+                   std::to_string(parallel_pivots) + " pivots"});
+  };
+  add_solver_rows("simplex_pricing", t_serial_pricing, t_parallel_pricing,
+                  serial_pricing.devex_pivots, parallel_pricing.devex_pivots);
+  add_solver_rows("basis_carry", t_serial_carry, t_parallel_carry,
+                  serial_carry.carried_tail_pivots,
+                  parallel_carry.carried_tail_pivots);
+  add_solver_rows("cut_bank", t_serial_cut_bank, t_parallel_cut_bank,
+                  serial_cut_bank.warm_tail_pivots,
+                  parallel_cut_bank.warm_tail_pivots);
+  add_solver_rows("learned_warm_start", t_serial_warm_start,
+                  t_parallel_warm_start, serial_warm_start.hinted_tail_pivots,
+                  parallel_warm_start.hinted_tail_pivots);
   table.add_row({"fault_campaign", "1",
                  util::Table::format(t_serial_campaign, 2),
                  std::to_string(serial_campaign.faults_injected) + " faults"});
@@ -1241,7 +1260,7 @@ int main(int argc, char** argv) {
     std::cout << "cut_bank gate FAILED (no iteration/pivot reduction, nothing "
                  "replayed, or objective mismatch)\n";
   }
-  // The headline oracle gate: on the drifting tail every predicted hint must
+  // The headline hint gate: on the drifting tail every voted hint must
   // survive verification (accepted, never discarded as worse-than-cold), the
   // hinted solves must spend at most half the cold pivots in total, and
   // every converged objective must agree with the cold reference to the bit.

@@ -10,18 +10,6 @@
 
 namespace prete::core {
 
-namespace {
-
-// With the oracle on, every solve collects its trace so converged epochs can
-// be harvested as training examples. Applied before the scheme copies the
-// config, so the scheme's own MinMaxOptions carry the flag.
-te::PreTeConfig with_trace_collection(te::PreTeConfig te, bool enabled) {
-  if (enabled) te.solver.collect_trace = true;
-  return te;
-}
-
-}  // namespace
-
 Controller::Controller(const net::Topology& topology,
                        std::vector<double> static_fiber_probs,
                        std::shared_ptr<const ml::FailurePredictor> predictor,
@@ -31,17 +19,12 @@ Controller::Controller(const net::Topology& topology,
       predictor_(std::move(predictor)),
       config_(config),
       tunnels_(net::build_tunnels(topology.network, topology.flows)),
-      scheme_(static_probs_,
-              with_trace_collection(config_.te, config_.learned_warm_start)),
+      scheme_(static_probs_, config_.te),
       num_static_tunnels_(tunnels_.num_tunnels()) {
   if (static_cast<int>(static_probs_.size()) != topology.network.num_fibers()) {
     throw std::invalid_argument("static probabilities size mismatch");
   }
   if (!predictor_) throw std::invalid_argument("predictor is required");
-  if (config_.learned_warm_start) {
-    config_.te.solver.collect_trace = true;  // keep config() consistent
-    oracle_.emplace(config_.oracle);         // validates the oracle config
-  }
 }
 
 void Controller::set_solver_budget(std::int64_t pivot_budget, double wall_ms) {
@@ -143,30 +126,6 @@ ControlDecision Controller::run_pipeline(
     if (budget == nullptr) budget = &deadline;
   }
 
-  // Learned warm start: predict against the pre-update problem — the
-  // steady-state epoch changes no tunnels, so the shape matches; when a
-  // degradation grows the tunnel table mid-call, the solver's shape check
-  // rejects the hint and the solve runs bitwise cold. Probability features
-  // use the calibrated vector when the epoch was prepared, else the
-  // believed per-fiber effective probabilities (predicted where degraded,
-  // static elsewhere); featurize() maps non-finite entries to zero.
-  std::vector<double> oracle_probs;
-  std::optional<te::WarmHint> hint;
-  if (oracle_) {
-    if (prepared != nullptr) {
-      oracle_probs = prepared->calibrated;
-    } else {
-      oracle_probs = static_probs_;
-      for (std::size_t f = 0; f < oracle_probs.size(); ++f) {
-        if (f < scenario.degraded.size() && scenario.degraded[f] &&
-            f < scenario.predicted_prob.size()) {
-          oracle_probs[f] = scenario.predicted_prob[f];
-        }
-      }
-    }
-    hint = oracle_->predict(current_problem(demands), oracle_probs);
-  }
-
   ControlDecision decision;
   decision.phi = 1.0;
   decision.gap = 1.0;
@@ -181,16 +140,14 @@ ControlDecision Controller::run_pipeline(
       --armed_solver_faults_;
       throw std::runtime_error("injected solver exception");
     }
-    const te::WarmHint* warm_hint = hint ? &*hint : nullptr;
     const auto outcome =
         prepared != nullptr
             ? scheme_.compute_with_prepared(topology_.network, topology_.flows,
                                             tunnels_, demands, *prepared,
-                                            budget, warm_hint)
+                                            budget)
             : scheme_.compute_for_degradation(topology_.network,
                                               topology_.flows, tunnels_,
-                                              demands, scenario, budget,
-                                              warm_hint);
+                                              demands, scenario, budget);
     decision.believed_scenarios = outcome.scenarios;
     decision.new_tunnels =
         static_cast<int>(outcome.tunnel_update.created.size());
@@ -201,15 +158,7 @@ ControlDecision Controller::run_pipeline(
     decision.cuts_banked = outcome.solver_result.cuts_banked;
     decision.hint_accepted = outcome.solver_result.hint_accepted;
     decision.hint_rejected = outcome.solver_result.hint_rejected;
-    decision.hint_pivots_saved = outcome.solver_result.hint_pivots_saved;
     decision.deadline_exceeded = outcome.solver_result.deadline_exceeded;
-    // Harvest the solve as a training example against the post-update
-    // problem (the trace's allocation spans the grown tunnel table).
-    // observe() itself filters out unconverged or policy-free solves.
-    if (oracle_) {
-      oracle_->observe(current_problem(demands), oracle_probs,
-                       outcome.solver_result);
-    }
     const PolicyCheck check =
         validate_policy(current_problem(demands), outcome.policy);
     bool usable = check.valid && !outcome.policy.allocation.empty();
@@ -268,11 +217,6 @@ ControlDecision Controller::run_pipeline(
                  static_cast<std::size_t>(num_static_tunnels_)));
     last_good_ = std::move(trimmed);
   }
-
-  // Incremental oracle training runs after the decision is assembled — off
-  // the decision's solve path — on the runtime pool (deterministic fold, so
-  // the controller's decision stream stays bit-identical at any pool size).
-  if (oracle_) oracle_->train();
 
   sim::LatencyModel latency = config_.latency;
   if (!include_detection) latency.detection_ms = 0.0;

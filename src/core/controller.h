@@ -5,7 +5,6 @@
 #include <optional>
 #include <vector>
 
-#include "ml/oracle.h"
 #include "ml/predictor.h"
 #include "net/topology.h"
 #include "net/traffic.h"
@@ -22,9 +21,6 @@ namespace prete::core {
 struct ControllerConfig {
   te::PreTeConfig te;
   sim::LatencyModel latency;
-  // How long a dynamic tunnel is kept after a degradation clears (one TE
-  // period by default, §4.2).
-  double dynamic_tunnel_ttl_sec = 300.0;
   // Per-decision solve budget (see util::Deadline): maximum simplex pivots
   // and wall-clock milliseconds the TE solve may spend before the controller
   // degrades to a fallback policy. 0 disables the respective limit; both 0
@@ -33,16 +29,6 @@ struct ControllerConfig {
   // should stay off in reproducibility-sensitive runs.
   std::int64_t solver_pivot_budget = 0;
   double solver_wall_ms = 0.0;
-  // Learned warm-start oracle (ml::WarmStartOracle): when enabled the
-  // controller harvests converged solver traces each decision, trains the
-  // oracle incrementally after the decision is assembled (off the solve
-  // path), and passes its predictions into the Benders solve as
-  // verified-on-arrival hints. A hint can only reduce pivots — converged
-  // objectives are bitwise-unaffected by construction (see
-  // te::MinMaxOptions::warm_hint) — so the knob defaults off purely to keep
-  // the default controller allocation-free of oracle state.
-  bool learned_warm_start = false;
-  ml::OracleConfig oracle;
 };
 
 // Which rung of the controller's graceful-degradation ladder produced a
@@ -80,13 +66,11 @@ struct ControlDecision {
   int cuts_invalidated = 0;
   int cuts_banked = 0;
   // Warm-hint provenance of the solve (see te::MinMaxResult): whether a
-  // learned hint was applied, rejected (verification failure or mid-solve
-  // discard), and how many pivots an applied hint saved against the
-  // oracle's expected-cold estimate. All zero when the oracle is disabled,
-  // abstained, or the solve threw.
+  // voted hint was applied, or rejected (verification failure or mid-solve
+  // discard). All zero when PreTeConfig::learned_warm_start is off, the
+  // shape's hint bank abstained, or the solve threw.
   int hint_accepted = 0;
   int hint_rejected = 0;
-  int hint_pivots_saved = 0;
   // Degradation-ladder bookkeeping: which rung produced `policy`, whether
   // the solve deadline expired on the way, and the Benders bound gap of the
   // installed policy (0 at proven optimality, 1.0 on the ladder's lower
@@ -221,18 +205,13 @@ class Controller {
   const net::TunnelSet& tunnels() const { return tunnels_; }
   const ControllerConfig& config() const { return config_; }
   const std::vector<double>& static_probs() const { return static_probs_; }
-  // The long-lived TE scheme — exposes basis-cache statistics so callers
-  // can observe cross-epoch warm-start behavior.
+  // The long-lived TE scheme — exposes its cache statistics (basis cache,
+  // cut bank, hint bank) so callers can observe cross-epoch warm starts.
   const te::PreTeScheme& scheme() const { return scheme_; }
   // Quality verdict of the most recent on_telemetry window (default-
   // constructed before the first call).
   const optical::TelemetryQuality& last_telemetry_quality() const {
     return last_telemetry_quality_;
-  }
-  // The learned warm-start oracle's counters (all zero when
-  // ControllerConfig::learned_warm_start is off).
-  ml::WarmStartOracle::Stats oracle_stats() const {
-    return oracle_ ? oracle_->stats() : ml::WarmStartOracle::Stats{};
   }
 
  private:
@@ -275,11 +254,6 @@ class Controller {
   // tunnel prefix: dynamic tunnel ids are reused across
   // on_degradation_cleared, so allocations beyond the prefix would silently
   // land on different tunnels than they were computed for.
-  // Learned warm-start state (engaged only when the config enables it).
-  // Owned here — not by the scheme — because harvesting needs the
-  // controller's view of the epoch (effective fiber probabilities, the
-  // post-update tunnel table) and training must run off the solve path.
-  std::optional<ml::WarmStartOracle> oracle_;
   int num_static_tunnels_ = 0;
   std::optional<te::TePolicy> last_good_;
   optical::TelemetryQuality last_telemetry_quality_;

@@ -5,7 +5,10 @@
 namespace prete::net {
 
 NodeId Network::add_node(std::string label) {
-  if (label.empty()) label = "s" + std::to_string(node_labels_.size() + 1);
+  if (label.empty()) {
+    label = std::to_string(node_labels_.size() + 1);
+    label.insert(label.begin(), 's');
+  }
   node_labels_.push_back(std::move(label));
   out_links_.emplace_back();
   return num_nodes() - 1;

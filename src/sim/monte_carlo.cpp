@@ -214,33 +214,41 @@ MonteCarloResult MonteCarloStudy::run_prete(const net::TrafficMatrix& demands,
     util::Deadline budget = util::Deadline::unlimited();
     util::Deadline* deadline = nullptr;
     if (faults != nullptr) {
-      const FaultKind kind = faults->fault_at(degraded_fiber + 1);
-      if (kind != FaultKind::kNone) slot.faulted = 1;
-      switch (kind) {
+      switch (faults->fault_at(degraded_fiber + 1)) {
         case FaultKind::kPredictorNaN:
         case FaultKind::kPredictorThrow:
           // A throwing predictor surfaces to the scheme as "no usable
           // prediction" — identical to NaN from its point of view.
+          slot.faulted = 1;
           if (degraded_fiber >= 0) {
             scenario.predicted_prob[static_cast<std::size_t>(degraded_fiber)] =
                 std::numeric_limits<double>::quiet_NaN();
           }
           break;
         case FaultKind::kTelemetryCorruption:
+          slot.faulted = 1;
           if (degraded_fiber >= 0) {
             scenario.predicted_prob[static_cast<std::size_t>(degraded_fiber)] =
                 1e9;  // absurd collector output; the scheme clamps it
           }
           break;
         case FaultKind::kDeadlineExpiry:
+          slot.faulted = 1;
           budget.set_pivot_budget(FaultInjector::kDeadlineExpiryPivots);
           deadline = &budget;
           break;
         case FaultKind::kSolverCollapse:
+          slot.faulted = 1;
           budget.set_pivot_budget(FaultInjector::kSolverCollapsePivots);
           deadline = &budget;
           break;
         case FaultKind::kNone:
+        // Control-plane faults act on the epoch pipeline and the
+        // controller's solve stage, neither of which this study runs.
+        case FaultKind::kStageStall:
+        case FaultKind::kWindowDrop:
+        case FaultKind::kWindowDuplicate:
+        case FaultKind::kSolverThrow:
           break;
       }
     }

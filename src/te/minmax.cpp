@@ -13,6 +13,7 @@
 #include "lp/simplex.h"
 #include "runtime/parallel.h"
 #include "te/lp_common.h"
+#include "util/rng.h"
 
 namespace prete::te {
 
@@ -229,39 +230,6 @@ bool cut_lex_less(const CutBank::Cut& a, const CutBank::Cut& b) {
 // close that hole: a wrong envelope loses the master pass to the real
 // duals and costs iterations, not correctness.
 constexpr double kSteerWeightCap = 1.0;
-
-// Verification of a hint's predicted allocation: representable in the SP
-// (finite, non-negative, one entry per tunnel) and feasible for the hard
-// capacity rows. The tolerance mirrors the simplex primal tolerance — a
-// hint is only ever an incumbent-policy fallback, so a marginally loose
-// load would still validate downstream, but rejecting keeps the contract
-// simple: accepted means feasible.
-bool hint_allocation_feasible(const TeProblem& problem,
-                              const std::vector<double>& allocation) {
-  const net::TunnelSet& tunnels = *problem.tunnels;
-  if (allocation.size() !=
-      static_cast<std::size_t>(tunnels.num_tunnels())) {
-    return false;
-  }
-  for (const double v : allocation) {
-    if (!std::isfinite(v) || !(v >= 0.0)) return false;
-  }
-  const net::Network& net = *problem.network;
-  std::vector<double> load(static_cast<std::size_t>(net.num_links()), 0.0);
-  for (const net::Tunnel& t : tunnels.tunnels()) {
-    for (net::LinkId e : t.path) {
-      load[static_cast<std::size_t>(e)] +=
-          allocation[static_cast<std::size_t>(t.id)];
-    }
-  }
-  for (net::LinkId e = 0; e < net.num_links(); ++e) {
-    const double cap = net.link(e).capacity_gbps;
-    if (load[static_cast<std::size_t>(e)] > cap + 1e-6 * std::max(1.0, cap)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 bool same_cut_terms(const std::vector<CutBank::Term>& a,
                     const std::vector<CutBank::Term>& b) {
@@ -624,20 +592,16 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   }
 
   // ---- Warm-hint verification: trust nothing, charge rejections. ----
-  // An accepted hint contributes three things, none of which can move the
-  // converged objective: a steering pseudo-cut (drop-ordering prior for the
-  // master, excluded from the lower bound and the bank), a pre-seeded row
-  // set for the first subproblem (valid Phi-rows never change an LP
-  // optimum), and a verified-feasible incumbent policy (a fallback shipped
-  // only if a deadline expires before any subproblem completes — the bound
-  // pair is untouched). Any failed check rejects the hint whole: the solve
-  // is then bitwise identical to one called without a hint.
+  // An accepted hint contributes two things: a steering pseudo-cut (drop-
+  // ordering prior for the master, excluded from the lower bound and the
+  // bank) and a pre-seeded row set for the first subproblem (valid Phi-rows
+  // never change an LP optimum). Any failed check rejects the hint whole:
+  // the solve is then bitwise identical to one called without a hint.
   const WarmHint* hint = options.warm_hint;
   bool hint_verified = false;
   bool steering_live = false;
   if (hint != nullptr) {
-    bool ok = hint->shape_signature == signature &&
-              hint_allocation_feasible(problem, hint->allocation);
+    bool ok = hint->shape_signature == signature;
     if (ok) {
       for (const WarmHint::Pair& p : hint->drops) {
         if (p.flow < 0 || static_cast<std::size_t>(p.flow) >= delta.size() ||
@@ -658,7 +622,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     if (ok) {
       hint_verified = true;
       result.hint_accepted = 1;
-      result.policy.allocation = hint->allocation;
       BendersCut steer;
       steer.steering = true;
       for (const WarmHint::Pair& p : hint->drops) {
@@ -822,7 +785,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       }
     }
     if (row_keys.empty()) {
-      // Hint seed: the oracle's predicted final Phi-rows, restricted to
+      // Hint seed: the hint's voted final Phi-rows, restricted to
       // pairs the current delta actually selects. Any selected pair's
       // Phi-row is a valid member of the full subproblem, so seeding can
       // only save row-generation rounds, never change the SP optimum.
@@ -1137,16 +1100,8 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   if (deadline != nullptr && deadline->expired()) {
     result.deadline_exceeded = true;
   }
-  // Hint savings are credited only to hints that were applied and survived
-  // (never discarded), against the oracle's expected-cold estimate; both
-  // sides count total decomposition pivots, refinement included.
-  if (result.hint_accepted != 0 && result.hint_rejected == 0 &&
-      hint->expected_cold_pivots > 0) {
-    result.hint_pivots_saved =
-        std::max(0, hint->expected_cold_pivots - result.simplex_pivots);
-  }
-  // ---- Solve trace for oracle harvesting (pure reporting). ----
-  // Only converged solves make training examples: an incumbent cut short by
+  // ---- Solve trace for HintBank::record (pure reporting). ----
+  // Only converged solves are traced: an incumbent cut short by
   // a deadline has a drop set and row family that describe where the solve
   // stopped, not where it was headed.
   if (options.collect_trace && result.converged) {
@@ -1166,6 +1121,82 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     }
   }
   return result;
+}
+
+namespace {
+
+// Majority vote over the reservoir: a (flow, pattern) pair is kept when at
+// least kVoteFraction of the traces contain it, carrying the mean of the
+// weights it was observed with (the solver clamps them into the dual range
+// on use; non-finite observations are dropped from the mean). The tally map
+// is ordered, so the emitted pairs are sorted by (flow, pattern), and the
+// mean is folded in trace order, so it is bit-reproducible too.
+std::vector<WarmHint::Pair> vote_pairs(
+    const std::vector<HintBank::Trace>& traces,
+    std::vector<WarmHint::Pair> HintBank::Trace::*field) {
+  struct Tally {
+    std::size_t count = 0;
+    std::size_t weighted = 0;
+    double weight_sum = 0.0;
+  };
+  std::map<std::pair<int, std::uint64_t>, Tally> tallies;
+  for (const HintBank::Trace& trace : traces) {
+    for (const WarmHint::Pair& p : trace.*field) {
+      Tally& t = tallies[{p.flow, p.pattern}];
+      ++t.count;
+      if (std::isfinite(p.weight) && p.weight > 0.0) {
+        ++t.weighted;
+        t.weight_sum += p.weight;
+      }
+    }
+  }
+  const double need =
+      HintBank::kVoteFraction * static_cast<double>(traces.size());
+  std::vector<WarmHint::Pair> out;
+  for (const auto& [key, tally] : tallies) {
+    if (static_cast<double>(tally.count) + 1e-9 >= need) {
+      const double w =
+          tally.weighted > 0
+              ? tally.weight_sum / static_cast<double>(tally.weighted)
+              : 0.0;
+      out.push_back({key.first, key.second, w});
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<WarmHint> HintBank::hint(std::uint64_t shape) {
+  if (shape != signature || traces.size() < kMinExamples) return std::nullopt;
+  WarmHint out;
+  out.shape_signature = shape;
+  out.drops = vote_pairs(traces, &Trace::drops);
+  out.active_rows = vote_pairs(traces, &Trace::active_rows);
+  ++issued;
+  return out;
+}
+
+void HintBank::record(std::uint64_t shape, const MinMaxResult& result) {
+  if (shape != signature) {
+    *this = HintBank{};
+    signature = shape;
+  }
+  accepted += result.hint_accepted;
+  rejected += result.hint_rejected;
+  if (!result.converged || result.policy.allocation.empty()) return;
+  Trace trace{result.trace_drops, result.trace_active_rows};
+  const std::uint64_t i = seen++;
+  if (traces.size() < kCapacity) {
+    traces.push_back(std::move(trace));
+    return;
+  }
+  // Reservoir step on the order-independent sub-stream for arrival i:
+  // retention is a pure function of (signature, i), whatever else draws
+  // randomness in the process.
+  const std::uint64_t j =
+      util::Rng(kSeed ^ signature).split(i).next_below(i + 1);
+  if (j < kCapacity) traces[static_cast<std::size_t>(j)] = std::move(trace);
 }
 
 }  // namespace prete::te

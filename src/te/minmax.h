@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "lp/model.h"
@@ -21,22 +22,14 @@ namespace prete::te {
 //   Phi + sum_{t in (T u Y)_{f,q}} a_{f,t} / d_f >= delta_{f,q}
 // with delta only in the right-hand side — which makes Benders cuts exact
 // subgradients of the subproblem value function.
-// A learned warm-start hint for solve_min_max_benders, produced by
-// ml::WarmStartOracle from solver traces of earlier epochs. A hint is
-// advisory only and verified on arrival (see MinMaxOptions::warm_hint):
-// nothing in it can change the converged objective, only how fast the
-// decomposition reaches it.
-struct WarmHint {
-  // problem_shape_signature(problem) the prediction was made for. A
-  // mismatch (e.g. tunnels were rebuilt mid-call) rejects the whole hint.
-  std::uint64_t shape_signature = 0;
 
-  // Predicted per-tunnel allocation (same units/order as
-  // TePolicy::allocation). Verified finite, non-negative, and
-  // capacity-feasible; on acceptance it seeds the incumbent *policy* — the
-  // fallback shipped if a deadline expires before any subproblem finishes —
-  // but never the bound pair, which only exact LP values may move.
-  std::vector<double> allocation;
+// A warm-start hint for solve_min_max_benders: the drop set and Phi-rows a
+// HintBank voted from converged solves of earlier epochs. A hint is
+// advisory only and verified on arrival (see MinMaxOptions::warm_hint).
+struct WarmHint {
+  // problem_shape_signature(problem) the hint was voted for. A mismatch
+  // (e.g. tunnels were rebuilt since) rejects the whole hint.
+  std::uint64_t shape_signature = 0;
 
   // A (flow, scenario-pattern) pair, the cross-epoch-stable key used by the
   // cut bank: `pattern` is scenario_signature of the failed-fiber set, so
@@ -65,11 +58,6 @@ struct WarmHint {
   // Predicted Phi-rows of the final subproblem; valid pairs pre-seed the
   // first subproblem's lazy rows, cutting row-generation rounds.
   std::vector<Pair> active_rows;
-
-  // Oracle's running estimate of an unhinted solve's simplex pivots for
-  // this shape (0 = unknown); MinMaxResult::hint_pivots_saved reports
-  // max(0, expected_cold_pivots - actual pivots) for accepted hints.
-  int expected_cold_pivots = 0;
 };
 
 struct MinMaxOptions {
@@ -95,17 +83,19 @@ struct MinMaxOptions {
   // over. nullptr (the default) is unlimited and leaves the solve bitwise
   // identical to a build without deadlines.
   util::Deadline* deadline = nullptr;
-  // Optional learned warm-start hint (not owned; may be null). Every field
-  // is verified before use — shape signature, allocation feasibility,
-  // pattern validity — and a hint that fails any check is discarded whole:
-  // the solve is then bitwise identical to one with no hint. Accepted hints
-  // steer the master's first drop selection and pre-seed subproblem rows but
-  // are excluded from the bound arithmetic and the cut bank, so the
-  // converged phi stays bitwise-equal to the unhinted solve's.
+  // Optional warm-start hint (not owned; may be null). Every field is
+  // verified before use — shape signature, flow range, finite non-negative
+  // weights — and a hint that fails any check is discarded whole: the solve
+  // is then bitwise identical to one with no hint. An accepted hint steers
+  // the master's first drop selection and pre-seeds subproblem rows; it is
+  // excluded from the bound arithmetic and the cut bank. That does not make
+  // the converged phi hint-independent: the master's lower bound is not a
+  // certificate (ROADMAP item 1), so a steered solve can declare
+  // convergence at a different phi than the unhinted solve.
   const WarmHint* warm_hint = nullptr;
   // Fill MinMaxResult::trace_drops / trace_active_rows so a caller can
-  // harvest this solve as an oracle training example. Off the default path:
-  // tracing only formats keys after convergence, it never changes the solve.
+  // record this solve in a HintBank. Off the default path: tracing only
+  // formats keys after convergence, it never changes the solve.
   bool collect_trace = false;
 };
 
@@ -141,15 +131,12 @@ struct MinMaxResult {
   int cuts_invalidated = 0;
   int cuts_banked = 0;
   // Warm-hint provenance (all zero when MinMaxOptions::warm_hint was null):
-  // whether the hint passed verification and was applied, whether it was
-  // rejected (shape mismatch, infeasible allocation, or its steered first
-  // iteration failed to close the gap and the steering was dropped), and
-  // how many pivots the accepted hint saved against the oracle's
-  // expected-cold estimate (0 when the estimate is unknown).
+  // whether the hint passed verification and was applied, and whether it
+  // was rejected (failed verification, or its steered first iteration
+  // failed to close the gap and the steering was dropped).
   int hint_accepted = 0;
   int hint_rejected = 0;
-  int hint_pivots_saved = 0;
-  // Solve trace for oracle harvesting, filled only when
+  // Solve trace for HintBank::record, filled only when
   // MinMaxOptions::collect_trace is set and the solve converged: the
   // converged master drop set (excluding pre-pinned fatal scenarios) and
   // the final subproblem's generated Phi-rows, both keyed by
@@ -272,6 +259,49 @@ struct CutBank {
   int invalidated = 0;  // stored cuts dropped by the validity check
   int inserted = 0;     // fresh cuts banked
   int evicted = 0;      // cuts removed by TTL or the size bound
+};
+
+// Cross-epoch warm-hint votes, owned by the caller next to its BasisCache
+// and CutBank (te::PreTeScheme keeps one per problem shape when
+// PreTeConfig::learned_warm_start is on). record() keeps a bounded
+// reservoir of converged solves' drop sets and final Phi-rows; hint() votes
+// them into a WarmHint once kMinExamples solves are in. Retention of
+// arrival i is decided by Rng::split(i) of a root seeded with
+// kSeed ^ signature — a pure function of the record sequence — so the
+// votes, like the cache and the bank, are bit-identical at any pool size.
+// Like the cut bank the votes are keyed by pattern signature and survive
+// scenario reordering; a signature mismatch starts the bank fresh.
+struct HintBank {
+  static constexpr std::size_t kCapacity = 32;
+  static constexpr std::size_t kMinExamples = 2;
+  // A (flow, pattern) pair enters the hint when at least this fraction of
+  // the reservoir's solves contain it.
+  static constexpr double kVoteFraction = 0.5;
+  static constexpr std::uint64_t kSeed = 17;
+
+  struct Trace {
+    std::vector<WarmHint::Pair> drops;
+    std::vector<WarmHint::Pair> active_rows;
+  };
+
+  std::uint64_t signature = 0;  // problem_shape_signature of the traces
+  std::vector<Trace> traces;
+  std::uint64_t seen = 0;  // record() arrivals since the last reset
+
+  // Monotone counters (reset with the bank on a signature change).
+  int issued = 0;    // hints handed out
+  int accepted = 0;  // recorded solves whose hint passed verification
+  int rejected = 0;  // recorded solves whose hint was rejected or discarded
+
+  // The majority-vote hint for `signature`, or nullopt when the bank holds
+  // another shape or fewer than kMinExamples solves.
+  std::optional<WarmHint> hint(std::uint64_t signature);
+
+  // Counts the solve's hint outcome and, when it converged with a policy,
+  // adds its trace (MinMaxOptions::collect_trace must have been set) to the
+  // reservoir. A deadline-starved incumbent describes where the solve
+  // stopped, not where it was headed, so it is never recorded.
+  void record(std::uint64_t signature, const MinMaxResult& result);
 };
 
 // Hash of the subproblem data the shape signature deliberately excludes but

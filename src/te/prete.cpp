@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace prete::te {
@@ -66,18 +67,16 @@ PreTeScheme::Prepared PreTeScheme::prepare_scenarios(
 PreTeScheme::Outcome PreTeScheme::compute_for_degradation(
     const net::Network& network, const std::vector<net::Flow>& flows,
     net::TunnelSet& tunnels, const net::TrafficMatrix& demands,
-    const DegradationScenario& degradation, util::Deadline* deadline,
-    const WarmHint* warm_hint) {
+    const DegradationScenario& degradation, util::Deadline* deadline) {
   return compute_with_prepared(network, flows, tunnels, demands,
                                prepare_scenarios(network, degradation),
-                               deadline, warm_hint);
+                               deadline);
 }
 
 PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
     const net::Network& network, const std::vector<net::Flow>& flows,
     net::TunnelSet& tunnels, const net::TrafficMatrix& demands,
-    const Prepared& prepared, util::Deadline* deadline,
-    const WarmHint* warm_hint) {
+    const Prepared& prepared, util::Deadline* deadline) {
   Outcome outcome;
 
   // Step 2 (§4.2, Algorithm 1): reactive tunnel updates per degraded fiber.
@@ -103,10 +102,19 @@ PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
   MinMaxOptions solver = config_.solver;
   solver.beta = std::min(config_.beta, outcome.scenarios.covered_probability);
   if (deadline != nullptr) solver.deadline = deadline;
-  if (warm_hint != nullptr) solver.warm_hint = warm_hint;
-  ShapeState& state = shape_state(problem_shape_signature(problem));
+  const std::uint64_t signature = problem_shape_signature(problem);
+  ShapeState& state = shape_state(signature);
+  std::optional<WarmHint> hint;
+  if (config_.learned_warm_start) {
+    hint = state.hints.hint(signature);
+    if (hint) solver.warm_hint = &*hint;
+    solver.collect_trace = true;
+  }
   outcome.solver_result = solve_min_max_benders(
       problem, outcome.scenarios, solver, &state.basis, &state.cut_bank);
+  if (config_.learned_warm_start) {
+    state.hints.record(signature, outcome.solver_result);
+  }
   outcome.policy = outcome.solver_result.policy;
   return outcome;
 }
@@ -129,6 +137,9 @@ PreTeScheme::ShapeState& PreTeScheme::shape_state(std::uint64_t signature) {
       retired_.cuts_invalidated += victim->second.cut_bank.invalidated;
       retired_.cuts_banked += victim->second.cut_bank.inserted;
       retired_.cut_evictions += victim->second.cut_bank.evicted;
+      retired_.hints_issued += victim->second.hints.issued;
+      retired_.hints_accepted += victim->second.hints.accepted;
+      retired_.hints_rejected += victim->second.hints.rejected;
       shape_states_.erase(victim);
       ++evictions_;
     }
@@ -150,6 +161,9 @@ PreTeScheme::CacheStats PreTeScheme::cache_stats() const {
     stats.cuts_invalidated += state.cut_bank.invalidated;
     stats.cuts_banked += state.cut_bank.inserted;
     stats.cut_evictions += state.cut_bank.evicted;
+    stats.hints_issued += state.hints.issued;
+    stats.hints_accepted += state.hints.accepted;
+    stats.hints_rejected += state.hints.rejected;
   }
   return stats;
 }

@@ -191,7 +191,9 @@ TEST(RuntimeDeterminismTest, PlantSimulatorBitIdenticalAcrossThreadCounts) {
       const bool nan1 = std::isnan(traces1[f][t]);
       const bool nan4 = std::isnan(traces4[f][t]);
       EXPECT_EQ(nan1, nan4);
-      if (!nan1 && !nan4) EXPECT_EQ(traces1[f][t], traces4[f][t]);
+      if (!nan1 && !nan4) {
+        EXPECT_EQ(traces1[f][t], traces4[f][t]);
+      }
     }
   }
   // The caller's generator advanced by exactly one draw per call.

@@ -200,6 +200,28 @@ TEST(FaultInjectorTest, FaultedRunIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.epochs_with_cut, parallel.epochs_with_cut);
 }
 
+TEST(FaultInjectorTest, MonteCarloIgnoresControlPlaneFaults) {
+  // The study runs no epoch pipeline and no controller solve stage, so the
+  // control-plane kinds inject nothing: the run must match a fault-free one.
+  McFixture fx;
+  const MonteCarloStudy mc(fx.topo, fx.stats, fx.config(200));
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.rates.stage_stall = 0.25;
+  plan.rates.window_drop = 0.25;
+  plan.rates.window_duplicate = 0.25;
+  plan.rates.solver_throw = 0.25;
+  const FaultInjector faults(plan);
+
+  util::Rng rng(41);
+  const auto faulted = mc.run_prete(fx.demands, rng, &faults);
+  util::Rng clean_rng(41);
+  const auto clean = mc.run_prete(fx.demands, clean_rng);
+  EXPECT_EQ(faulted.faults_injected, 0);
+  EXPECT_EQ(faulted.mean_flow_availability, clean.mean_flow_availability);
+  EXPECT_EQ(faulted.epochs_with_degradation, clean.epochs_with_degradation);
+}
+
 
 GroupCutPlan example_group_plan(double rate) {
   GroupCutPlan plan;

@@ -32,17 +32,23 @@ TEST(ProductionCaseTest, PreTeAvoidsSustainedLoss) {
 TEST(ProductionCaseTest, NoLossBeforeCut) {
   const ProductionRun run = run_production_case({}, {});
   for (const LossSample& s : run.traditional) {
-    if (s.time_sec < 69.0) EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    if (s.time_sec < 69.0) {
+      EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    }
   }
   for (const LossSample& s : run.prete) {
-    if (s.time_sec < 69.0) EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    if (s.time_sec < 69.0) {
+      EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    }
   }
 }
 
 TEST(ProductionCaseTest, LossEndsAtNextTePeriod) {
   const ProductionRun run = run_production_case({}, {});
   for (const LossSample& s : run.traditional) {
-    if (s.time_sec > 301.0) EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    if (s.time_sec > 301.0) {
+      EXPECT_DOUBLE_EQ(s.loss_gbps, 0.0);
+    }
   }
 }
 
