@@ -8,9 +8,11 @@
 // hardware concurrency for the parallel run).
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <thread>
 
@@ -464,20 +466,31 @@ BnbSample run_bnb_phase(int repeats) {
 }
 
 // Basis-carry phase: the same epoch sequence (fixed topology and tunnel set,
-// demands drifting a little each epoch, as across TE periods) solved twice —
-// once stateless (every epoch cold) and once through a te::BasisCache. After
-// the first epoch the cached run must spend fewer pivots.
+// as across TE periods) solved twice — once stateless (every epoch cold) and
+// once through a te::BasisCache. Each epoch the demands drift 2% and one
+// fiber's cut probability climbs past its neighbours', so the
+// probability-sorted scenario set reorders (as in the cut_bank phase): the
+// cache's pattern-keyed recipes must still line up. After the first epoch
+// the cached run must spend fewer pivots; the seeds the cache offered,
+// installed and rejected are reported alongside.
 struct CarrySample {
   int cold_first_epoch_pivots = 0;
   int cold_tail_pivots = 0;     // epochs after the first, stateless
   int carried_tail_pivots = 0;  // epochs after the first, cache carried
-  int cache_hits = 0;
+  int seeds_installed = 0;      // BasisCache::hits
+  int seeds_rejected = 0;       // BasisCache::rejected
+  int reordered_epochs = 0;  // epochs whose scenario order differs from the
+                             // previous epoch's
   double max_phi_delta = 0.0;  // |phi_cold - phi_carried| over the sequence
+  int seeds_offered() const { return seeds_installed + seeds_rejected; }
   bool operator==(const CarrySample& o) const {
     return cold_first_epoch_pivots == o.cold_first_epoch_pivots &&
            cold_tail_pivots == o.cold_tail_pivots &&
            carried_tail_pivots == o.carried_tail_pivots &&
-           cache_hits == o.cache_hits && max_phi_delta == o.max_phi_delta;
+           seeds_installed == o.seeds_installed &&
+           seeds_rejected == o.seeds_rejected &&
+           reordered_epochs == o.reordered_epochs &&
+           max_phi_delta == o.max_phi_delta;
   }
 };
 
@@ -491,13 +504,27 @@ CarrySample run_carry_phase(const bench::Context& ctx,
   te::ScenarioOptions so;
   so.max_simultaneous_failures = 2;
   so.max_scenarios = 200;
-  const auto scenarios = te::generate_failure_scenarios(ctx.stats.cut_prob, so);
-  te::MinMaxOptions options;
-  options.beta = std::min(0.99, scenarios.covered_probability);
+  // The drifting fiber starts as the least likely to be cut, so every step
+  // of its climb overtakes other fibers' single-cut scenarios.
+  const std::vector<double>& base = ctx.stats.cut_prob;
+  const auto drifting = static_cast<std::size_t>(
+      std::min_element(base.begin(), base.end()) - base.begin());
 
   CarrySample sample;
   te::BasisCache cache;
+  std::vector<std::uint64_t> previous_order;
   for (int e = 0; e < epochs; ++e) {
+    std::vector<double> probs = base;
+    probs[drifting] *= 1.0 + 2.0 * e;
+    const auto scenarios = te::generate_failure_scenarios(probs, so);
+    std::vector<std::uint64_t> order;
+    for (const te::FailureScenario& q : scenarios.scenarios) {
+      order.push_back(te::scenario_signature(q));
+    }
+    if (e > 0 && order != previous_order) ++sample.reordered_epochs;
+    previous_order = std::move(order);
+    te::MinMaxOptions options;
+    options.beta = std::min(0.99, scenarios.covered_probability);
     // Demand drift leaves the problem shape (and so the basis-cache
     // signature) unchanged — exactly the regime the cache targets.
     problem.demands = net::scale_traffic(demands, 1.0 + 0.02 * e);
@@ -514,7 +541,8 @@ CarrySample run_carry_phase(const bench::Context& ctx,
     sample.max_phi_delta =
         std::max(sample.max_phi_delta, std::abs(cold.phi - carried.phi));
   }
-  sample.cache_hits = cache.hits;
+  sample.seeds_installed = cache.hits;
+  sample.seeds_rejected = cache.rejected;
   return sample;
 }
 
@@ -1185,7 +1213,10 @@ int main(int argc, char** argv) {
             << ", pipeline |phi_dantzig - phi_devex|: "
             << util::Table::format(serial_pricing.pipeline_phi_delta, 12)
             << "\n"
-            << "basis_carry cache hits: " << serial_carry.cache_hits
+            << "basis_carry seeds offered " << serial_carry.seeds_offered()
+            << ", installed " << serial_carry.seeds_installed << ", rejected "
+            << serial_carry.seeds_rejected << " (scenario order changed on "
+            << serial_carry.reordered_epochs << " epochs)"
             << ", max |phi_cold - phi_carried|: "
             << util::Table::format(serial_carry.max_phi_delta, 9) << "\n";
   std::cout << "cut_bank steady-state iterations: cold "

@@ -125,6 +125,13 @@ ControlDecision Controller::run_pipeline(
         ->set_wall_clock_ms(config_.solver_wall_ms);
     if (budget == nullptr) budget = &deadline;
   }
+  if (armed_solver_collapse_) {
+    // The collapse cancels the internal deadline, never the external one:
+    // the solve is not superseded, it just has no budget at all.
+    armed_solver_collapse_ = false;
+    deadline.request_cancel();
+    budget = &deadline;
+  }
 
   ControlDecision decision;
   decision.phi = 1.0;

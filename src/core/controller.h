@@ -202,6 +202,14 @@ class Controller {
   // fault campaign's solver-exception injection; never armed in production.
   void arm_solver_exception(int n) { armed_solver_faults_ = n; }
 
+  // Chaos-engineering seam: the next solve attempt runs under a deadline
+  // cancelled before it starts (util::Deadline::request_cancel), so it
+  // collapses before its first subproblem completes, however much of the
+  // solve the carried warm state would skip. Deterministic: the flag is set
+  // before the solve reads it. Used by the fault campaign's solver-collapse
+  // injection; never armed in production.
+  void arm_solver_collapse() { armed_solver_collapse_ = true; }
+
   const net::TunnelSet& tunnels() const { return tunnels_; }
   const ControllerConfig& config() const { return config_; }
   const std::vector<double>& static_probs() const { return static_probs_; }
@@ -259,6 +267,7 @@ class Controller {
   optical::TelemetryQuality last_telemetry_quality_;
   // Armed solver-exception count (see arm_solver_exception).
   int armed_solver_faults_ = 0;
+  bool armed_solver_collapse_ = false;
 };
 
 }  // namespace prete::core

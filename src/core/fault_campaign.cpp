@@ -236,7 +236,7 @@ void arm_delivery(Controller& controller, const FaultCampaignConfig& config,
       if (config.wall_clock_mode()) {
         controller.set_solver_budget(0, std::max(config.collapse_wall_ms, 1e-3));
       } else {
-        controller.set_solver_budget(sim::FaultInjector::kSolverCollapsePivots);
+        controller.arm_solver_collapse();
       }
       break;
     case FaultKind::kSolverThrow:

@@ -34,7 +34,8 @@ struct FaultCampaignConfig {
   // Wall-clock expiry is timing-dependent, so a wall-mode campaign's
   // decision_digest and rung mix are NOT reproducible run-to-run; soak
   // tests assert clean() and rung coverage, never the digest. Zero (the
-  // default) keeps the deterministic pivot-budget faults.
+  // default) keeps the deterministic faults: pivot budgets for
+  // kDeadlineExpiry, Controller::arm_solver_collapse for kSolverCollapse.
   double collapse_wall_ms = 0.0;
   double expiry_wall_ms = 0.0;
   bool wall_clock_mode() const {

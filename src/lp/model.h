@@ -106,6 +106,10 @@ struct Solution {
   // Branch-and-bound nodes popped from the best-first queue (0 for pure LP
   // solves).
   int nodes_explored = 0;
+  // A warm-startable LP solve (SimplexSolver::solve with a `warm` hint)
+  // seated the offered basis instead of falling back to the all-artificial
+  // cold start. False when no hint was offered, and for branch-and-bound.
+  bool warm_installed = false;
 };
 
 }  // namespace prete::lp

@@ -176,6 +176,7 @@ class SimplexEngine {
   }
 
   const BasisState::Stats& kernel_stats() const { return basis_.stats(); }
+  bool warm_installed() const { return warm_installed_; }
 
   // Snapshot of the final basis; only meaningful after an optimal run().
   void export_basis(SimplexBasis& out) const {
@@ -316,8 +317,8 @@ class SimplexEngine {
     ws_.basis.assign(static_cast<std::size_t>(m), 0);
     ws_.basic_value.assign(static_cast<std::size_t>(m), 0.0);
 
-    if (compatible && install_warm_basis(*warm)) return;
-    install_artificial_basis();
+    warm_installed_ = compatible && install_warm_basis(*warm);
+    if (!warm_installed_) install_artificial_basis();
   }
 
   // Moves a nonbasic column to the hinted bound when the bound structure
@@ -874,6 +875,7 @@ class SimplexEngine {
   int first_artificial_ = 0;
   int pricing_window_ = 0;
   int pricing_offset_ = 0;
+  bool warm_installed_ = false;
   std::vector<const std::vector<Coefficient>*> basis_cols_;
   std::vector<double> cb_;
   std::vector<double> rho_;
@@ -915,6 +917,7 @@ Solution SimplexSolver::solve(const Model& model, const SimplexBasis* warm,
   solution.reinversions = engine.kernel_stats().reinversions;
   solution.eta_peak = engine.kernel_stats().eta_peak;
   solution.lu_reinversions = engine.kernel_stats().lu_reinversions;
+  solution.warm_installed = engine.warm_installed();
   if (basis_out != nullptr && solution.status == SolveStatus::kOptimal) {
     engine.export_basis(*basis_out);
   }

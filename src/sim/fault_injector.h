@@ -20,9 +20,10 @@ enum class FaultKind {
   // The TE solve runs out of budget mid-decomposition: a moderate pivot
   // budget that typically leaves a usable incumbent.
   kDeadlineExpiry,
-  // The TE solve collapses entirely: a 1-pivot budget that cannot even
-  // finish simplex phase 1, so no incumbent exists and the controller must
-  // descend past the incumbent rung.
+  // The TE solve collapses entirely: its deadline is cancelled before the
+  // solve starts, so no subproblem completes — however warm the carried
+  // bases are — no incumbent exists, and the controller must descend past
+  // the incumbent rung.
   kSolverCollapse,
   // Control-plane faults, injected into the epoch pipeline rather than a
   // single component. A stalled ingest/sanitize stage (the telemetry
@@ -108,9 +109,8 @@ struct GroupCutPlan {
 // of (plan, step), so parallel consumers can query it order-independently.
 class FaultInjector {
  public:
-  // Pivot budgets used when materializing the two solver-fault kinds.
+  // Pivot budget used when materializing kDeadlineExpiry.
   static constexpr std::int64_t kDeadlineExpiryPivots = 500;
-  static constexpr std::int64_t kSolverCollapsePivots = 1;
 
   explicit FaultInjector(FaultPlan plan);
   FaultInjector(FaultPlan plan, GroupCutPlan group_cuts);

@@ -239,7 +239,7 @@ MonteCarloResult MonteCarloStudy::run_prete(const net::TrafficMatrix& demands,
           break;
         case FaultKind::kSolverCollapse:
           slot.faulted = 1;
-          budget.set_pivot_budget(FaultInjector::kSolverCollapsePivots);
+          budget.request_cancel();
           deadline = &budget;
           break;
         case FaultKind::kNone:

@@ -70,10 +70,10 @@ class MonteCarloStudy {
   // predictor NaN/throw become a NaN prediction (sanitized to the static
   // prior by PreTeScheme), telemetry corruption becomes an absurd
   // prediction (clamped), kDeadlineExpiry solves under a tight pivot
-  // budget, and kSolverCollapse under a 1-pivot budget (the policy comes
-  // back empty and evaluates as fully lost — degraded availability, never
-  // a crash). Determinism contract unchanged: results are bit-identical at
-  // any thread count for a fixed (rng, faults) pair.
+  // budget, and kSolverCollapse under a deadline cancelled before the solve
+  // (the policy comes back empty and evaluates as fully lost — degraded
+  // availability, never a crash). Determinism contract unchanged: results
+  // are bit-identical at any thread count for a fixed (rng, faults) pair.
   MonteCarloResult run_prete(const net::TrafficMatrix& demands,
                              util::Rng& rng,
                              const FaultInjector* faults = nullptr) const;

@@ -247,6 +247,18 @@ bool same_cut_terms(const std::vector<CutBank::Term>& a,
 
 namespace {
 
+// Tallies the first LP solve a BasisCache was consulted for: a hit when the
+// carried basis was installed, otherwise a cold start, and a rejection when
+// a basis was on offer but the replay or installation refused it.
+void count_seed(BasisCache& cache, bool offered, bool installed) {
+  if (installed) {
+    ++cache.hits;
+    return;
+  }
+  ++cache.cold_starts;
+  if (offered) ++cache.rejected;
+}
+
 // Second stage: with the delta selection and its quantile guarantee Phi*
 // fixed, re-optimize the allocation with a CVaR objective over ALL (flow,
 // scenario) pairs while enforcing loss <= Phi* on every guaranteed pair.
@@ -257,6 +269,8 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
                        const std::vector<std::vector<char>>& delta,
                        double phi_star, double beta,
                        const lp::SimplexOptions& simplex_options,
+                       const std::vector<std::uint64_t>& pattern_sig,
+                       const std::map<std::uint64_t, std::size_t>& sig_to_q,
                        BasisCache* cache, int* pivots) {
   const auto& flows = *problem.flows;
   const auto& Q = scenarios.scenarios;
@@ -285,7 +299,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     row.coefficients.push_back({var_t, 1.0});
     model.add_row(std::move(row));
     have_cvar_row.insert({f, q});
-    recipe.push_back({false, f, q});
+    if (cache != nullptr) recipe.push_back({false, f, pattern_sig[q]});
   };
   auto add_guarantee_row = [&](net::FlowId f, std::size_t q) {
     // frac >= 1 - Phi*: the quantile guarantee, independent of t.
@@ -299,7 +313,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     model.add_row(std::move(coefs), lp::RowType::kGreaterEqual,
                   1.0 - phi_bound);
     have_guarantee_row.insert({f, q});
-    recipe.push_back({true, f, q});
+    if (cache != nullptr) recipe.push_back({true, f, pattern_sig[q]});
   };
 
   // Replay the cached epoch's lazy rows in order so the cached full basis
@@ -307,31 +321,33 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   // variable). CVaR rows are valid members of the full CVaR model for any
   // pair, so replaying them never changes the optimum; a guarantee row is
   // only valid while its pair is guaranteed under the CURRENT delta and
-  // phi_bound, so the replay stops at the first entry that is not.
+  // phi_bound, so the replay stops at the first entry that is not, or whose
+  // pattern left the scenario set.
   lp::SimplexBasis warm;
-  if (cache != nullptr) {
+  const bool seed_offered = cache != nullptr && cache->refine.valid();
+  if (seed_offered) {
     std::size_t aligned_rows = 0;
     int aligned_cvar = 0;
-    if (cache->refine.valid()) {
-      for (const BasisCache::RefineRow& rr : cache->refine_rows) {
-        if (rr.q >= Q.size() || rr.flow < 0 ||
-            static_cast<std::size_t>(rr.flow) >= delta.size()) {
+    for (const BasisCache::RefineRow& rr : cache->refine_rows) {
+      const auto it = sig_to_q.find(rr.pattern);
+      if (it == sig_to_q.end() || rr.flow < 0 ||
+          static_cast<std::size_t>(rr.flow) >= delta.size()) {
+        break;
+      }
+      const std::size_t q = it->second;
+      if (rr.guarantee) {
+        if (!enforce_guarantee ||
+            !delta[static_cast<std::size_t>(rr.flow)][q] ||
+            have_guarantee_row.count({rr.flow, q})) {
           break;
         }
-        if (rr.guarantee) {
-          if (!enforce_guarantee ||
-              !delta[static_cast<std::size_t>(rr.flow)][rr.q] ||
-              have_guarantee_row.count({rr.flow, rr.q})) {
-            break;
-          }
-          add_guarantee_row(rr.flow, rr.q);
-        } else {
-          if (have_cvar_row.count({rr.flow, rr.q})) break;
-          add_cvar_row(rr.flow, rr.q);
-          ++aligned_cvar;
-        }
-        ++aligned_rows;
+        add_guarantee_row(rr.flow, q);
+      } else {
+        if (have_cvar_row.count({rr.flow, q})) break;
+        add_cvar_row(rr.flow, q);
+        ++aligned_cvar;
       }
+      ++aligned_rows;
     }
     if (aligned_rows > 0) {
       warm = aligned_rows == cache->refine_rows.size()
@@ -339,9 +355,6 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
                  : cache->refine.truncated(
                        fixed_rows + static_cast<int>(aligned_rows),
                        fixed_structurals + aligned_cvar);
-      ++cache->hits;
-    } else {
-      ++cache->cold_starts;
     }
   }
   // Every flow gets its q=0 CVaR row unless the replay already added it.
@@ -368,6 +381,9 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     }
     solution = solver.solve(model, warm.valid() ? &warm : nullptr, &warm);
     if (pivots != nullptr) *pivots += solution.iterations;
+    if (cache != nullptr && round == 0) {
+      count_seed(*cache, seed_offered, solution.warm_installed);
+    }
     if (solution.status != lp::SolveStatus::kOptimal) break;
     best = solution;
     // Snapshot while basis and recipe agree: rows added below this point
@@ -541,9 +557,11 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // homogeneous with the cuts this run derives.
   // Terms for vanished patterns are dropped with the constant untouched
   // (equivalent to fixing their delta to 0 — the cut weakens, stays valid).
+  // The basis cache's row recipes, the warm hint and the trace use the same
+  // pattern keys.
   std::vector<std::uint64_t> pattern_sig;
   std::map<std::uint64_t, std::size_t> sig_to_q;
-  if (cut_bank != nullptr || options.warm_hint != nullptr ||
+  if (cache != nullptr || cut_bank != nullptr || options.warm_hint != nullptr ||
       options.collect_trace) {
     pattern_sig.resize(Q.size());
     for (std::size_t q = 0; q < Q.size(); ++q) {
@@ -727,16 +745,20 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // its Phi-row keys: re-adding the same rows in the same order makes the
   // full basis — which holds the previous optimum — line up row-for-row.
   // The cache seeds the first iteration from the previous epoch's solve the
-  // same way.
+  // same way, its pattern-keyed recipe mapped to this epoch's scenario
+  // indices; a pattern that left the set maps past the end, which stops the
+  // replay like a deselected key.
   lp::SimplexBasis carry;
   std::vector<std::pair<int, std::size_t>> carry_keys;
-  if (cache != nullptr) {
-    if (cache->benders.valid()) {
-      carry = cache->benders;
-      carry_keys = cache->benders_rows;
-      ++cache->hits;
-    } else {
-      ++cache->cold_starts;
+  bool carry_fresh = false;  // `carry` comes from a subproblem of this solve
+  const bool seed_offered = cache != nullptr && cache->benders.valid();
+  if (seed_offered) {
+    carry = cache->benders;
+    carry_keys.reserve(cache->benders_rows.size());
+    for (const auto& [flow, pattern] : cache->benders_rows) {
+      const auto it = sig_to_q.find(pattern);
+      const std::size_t q = it == sig_to_q.end() ? Q.size() : it->second;
+      carry_keys.push_back({flow, q});
     }
   }
   // The deadline rides inside the simplex options so every LP solve of the
@@ -830,11 +852,15 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     for (int round = 0; round < kMaxRounds; ++round) {
       sp_solution = solver.solve(sp, warm.valid() ? &warm : nullptr, &warm);
       result.simplex_pivots += sp_solution.iterations;
+      if (cache != nullptr && iter == 0 && round == 0) {
+        count_seed(*cache, seed_offered, sp_solution.warm_installed);
+      }
       if (sp_solution.status != lp::SolveStatus::kOptimal) break;
       // Snapshot while basis and keys agree: rows added below this point
       // would not be covered by `warm` until the next solve.
       carry = warm;
       carry_keys = row_keys;
+      carry_fresh = true;
       if (sp.num_rows() >= kMaxTotalRows) {
         sp_ok = true;  // bounded-basis stop: accept the current subproblem
         break;
@@ -989,9 +1015,12 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   const double guarantee = result.upper_bound <= options.guarantee_threshold
                                ? result.upper_bound
                                : 1.0;  // vacuous -> pure CVaR refinement
-  if (cache != nullptr && carry.valid()) {
+  if (cache != nullptr && carry_fresh) {
     cache->benders = carry;
-    cache->benders_rows = carry_keys;
+    cache->benders_rows.clear();
+    for (const auto& [flow, q] : carry_keys) {
+      cache->benders_rows.push_back({flow, pattern_sig[q]});
+    }
   }
   // ---- Cut-bank writeback: refresh, insert, evict. ----
   // Runs alongside the basis writeback (before refinement) so a deadline
@@ -1092,7 +1121,8 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   if (deadline == nullptr || !deadline->expired()) {
     TePolicy refined =
         refine_policy(problem, scenarios, best_delta, guarantee, options.beta,
-                      simplex_options, cache, &result.simplex_pivots);
+                      simplex_options, pattern_sig, sig_to_q, cache,
+                      &result.simplex_pivots);
     if (!refined.allocation.empty()) {
       result.policy = std::move(refined);
     }

@@ -179,13 +179,28 @@ struct MinMaxResult {
 // basis to the capacity-row prefix instead is useless in practice: the
 // allocation variables are basic in the dropped Phi-rows, so truncation
 // demotes them to zero and the warm start degenerates to a cold one.
+//
+// Recipes are keyed by (flow, scenario pattern signature), like CutBank
+// terms, not by scenario index: reduce_scenarios re-sorts the set by
+// probability every epoch, so an index usually names a different failure
+// pattern one epoch later while the pattern's Phi-row is unchanged. A
+// pattern that left the scenario set stops the replay like a deselected key.
+//
+// Every cache-consulting LP solve (the first subproblem of a Benders solve,
+// the first refinement round) counts once: as a hit when the carried basis
+// was installed (lp::Solution::warm_installed), otherwise as a cold start —
+// and, when a basis was offered but the replay or the installation rejected
+// it, also as `rejected`.
 struct BasisCache {
+  // (flow, scenario_signature) of one replayed Phi-row.
+  using Key = std::pair<int, std::uint64_t>;
+
   std::uint64_t signature = 0;
 
-  // Final subproblem basis + the (flow, scenario) keys of its Phi-rows, in
-  // row order after the capacity prefix.
+  // Final subproblem basis + the keys of its Phi-rows, in row order after
+  // the capacity prefix.
   lp::SimplexBasis benders;
-  std::vector<std::pair<int, std::size_t>> benders_rows;
+  std::vector<Key> benders_rows;
 
   // Final CVaR-refinement basis + its lazy-row recipe. CVaR rows also append
   // one shortfall variable each, so the recipe records the row kind to
@@ -193,13 +208,14 @@ struct BasisCache {
   struct RefineRow {
     bool guarantee = false;  // false: CVaR row (appends a shortfall variable)
     int flow = 0;
-    std::size_t q = 0;
+    std::uint64_t pattern = 0;  // scenario_signature of the failed-fiber set
   };
   lp::SimplexBasis refine;
   std::vector<RefineRow> refine_rows;
 
-  int hits = 0;         // solves that consumed a carried basis
-  int cold_starts = 0;  // solves that found no usable basis
+  int hits = 0;         // solves that installed the carried basis
+  int cold_starts = 0;  // solves that started cold (no basis, or rejected)
+  int rejected = 0;     // cold starts whose offered basis was not installed
 };
 
 // Cross-epoch bank of Benders optimality cuts, owned by the caller next to

@@ -133,6 +133,7 @@ PreTeScheme::ShapeState& PreTeScheme::shape_state(std::uint64_t signature) {
       }
       retired_.hits += victim->second.basis.hits;
       retired_.cold_starts += victim->second.basis.cold_starts;
+      retired_.rejected += victim->second.basis.rejected;
       retired_.cuts_replayed += victim->second.cut_bank.replayed;
       retired_.cuts_invalidated += victim->second.cut_bank.invalidated;
       retired_.cuts_banked += victim->second.cut_bank.inserted;
@@ -157,6 +158,7 @@ PreTeScheme::CacheStats PreTeScheme::cache_stats() const {
     (void)signature;
     stats.hits += state.basis.hits;
     stats.cold_starts += state.basis.cold_starts;
+    stats.rejected += state.basis.rejected;
     stats.cuts_replayed += state.cut_bank.replayed;
     stats.cuts_invalidated += state.cut_bank.invalidated;
     stats.cuts_banked += state.cut_bank.inserted;

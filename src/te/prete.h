@@ -137,8 +137,9 @@ class PreTeScheme {
   // that mysteriously reset.
   struct CacheStats {
     int shapes = 0;       // distinct problem shapes currently cached
-    int hits = 0;         // LP solves seeded from a carried basis
-    int cold_starts = 0;  // LP solves with no usable carried basis
+    int hits = 0;         // LP solves that installed a carried basis
+    int cold_starts = 0;  // LP solves that started cold
+    int rejected = 0;     // cold starts whose carried basis was refused
     int evictions = 0;    // shape entries evicted by the LRU bound
     // Cut-bank aggregates (see te::CutBank), summed like hits.
     int cuts_replayed = 0;

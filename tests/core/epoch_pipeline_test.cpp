@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -12,6 +13,7 @@
 
 #include "core/policy_guard.h"
 #include "runtime/thread_pool.h"
+#include "util/deadline.h"
 
 namespace prete::core {
 namespace {
@@ -352,10 +354,34 @@ TEST(EpochPipelineTest, LadderRungsUnderOverlapMatchSerialRungs) {
   // solver throw (kLastGood — the incumbent dies with the solve), epoch 2
   // starved mid-refinement (kIncumbent: the pivot budget expires after the
   // first usable incumbent lands), rest unlimited.
-  auto arm_epoch = [](Controller& c, std::size_t epoch) {
-    c.set_solver_budget(epoch == 2 ? 20 : 0);
+  std::int64_t starved_budget = 0;
+  auto arm_epoch = [&starved_budget](Controller& c, std::size_t epoch) {
+    c.set_solver_budget(epoch == 2 ? starved_budget : 0);
     if (epoch == 1) c.arm_solver_exception(1);
   };
+
+  // Epoch 2's budget is measured, not guessed: how much of the solve the
+  // carried bases skip depends on the warm state. A probe controller
+  // replays epochs 0-1, then charges epoch 2's unlimited solve to a
+  // deadline. One pivot less expires in the CVaR refinement — the last LP
+  // of the decision, which runs only after the Benders incumbent landed.
+  {
+    Controller probe = fx.make_controller();
+    for (std::size_t e = 0; e < 2; ++e) {
+      arm_epoch(probe, e);
+      probe.on_telemetry(inputs[e].fiber, inputs[e].trace_db,
+                         inputs[e].trace_start_sec, inputs[e].healthy_loss_db,
+                         inputs[e].demands);
+    }
+    const PreparedEpoch prepared = probe.prepare_telemetry(
+        inputs[2].fiber, inputs[2].trace_db, inputs[2].trace_start_sec,
+        inputs[2].healthy_loss_db);
+    ASSERT_TRUE(prepared.has_signal);
+    util::Deadline full = util::Deadline::unlimited();
+    probe.decide_prepared(prepared, inputs[2].demands, &full);
+    starved_budget = full.pivots_charged() - 1;
+    ASSERT_GT(starved_budget, 0);
+  }
 
   // Serial reference.
   std::vector<std::optional<ControlDecision>> serial;
