@@ -25,20 +25,13 @@
 #include "te/minmax.h"
 #include "te/schemes.h"
 #include "util/deadline.h"
+#include "util/hash.h"
 #include "workload/continental.h"
 
 using namespace prete;
+using util::fnv1a;
 
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 std::uint64_t fold_double(std::uint64_t hash, double v) {
   std::uint64_t bits = 0;
@@ -60,7 +53,7 @@ class StaticPredictor final : public ml::FailurePredictor {
 // another pool size must reproduce it bit for bit.
 struct WorkloadSample {
   workload::ContinentalWorkload w;
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = util::kFnvOffsetBasis;
 
   explicit WorkloadSample(const workload::ContinentalConfig& config)
       : w(workload::generate_continental_workload(config)) {
@@ -89,7 +82,7 @@ struct ScenarioSample {
   double covered_before = 0;
   double covered_after = 0;
   double dropped_mass = 0;
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = util::kFnvOffsetBasis;
   te::ScenarioSet reduced;
 
   bool operator==(const ScenarioSample& o) const {
@@ -130,7 +123,7 @@ ScenarioSample run_scenario_phase(const workload::ContinentalWorkload& w,
 // default solve deadline) installed. The digest folds each decision's rung,
 // deadline flag, phi, and full allocation vector.
 struct ControllerSample {
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t digest = util::kFnvOffsetBasis;
   std::array<int, 4> rung_count{};
   int deadline_exceeded = 0;
   double last_phi = 1.0;

@@ -13,9 +13,12 @@
 #include "core/policy_guard.h"
 #include "runtime/task_group.h"
 #include "te/evaluator.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace prete::core {
+
+using util::fnv1a;
 
 namespace {
 
@@ -89,15 +92,6 @@ class FaultyPredictor final : public ml::FailurePredictor {
   Mode mode_ = Mode::kNormal;
   const std::vector<Delivery>* deliveries_ = nullptr;
 };
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 std::uint64_t fold_decision(std::uint64_t hash, int step,
                             const ControlDecision& decision) {
@@ -351,7 +345,7 @@ FaultCampaignReport run_campaign_slice(const net::Topology& topology,
 
   SliceState state;
   state.report.steps = len;
-  state.report.decision_digest = 0xcbf29ce484222325ULL;  // FNV offset basis
+  state.report.decision_digest = util::kFnvOffsetBasis;
   for (const Delivery& d : deliveries) {
     if (d.primary && d.kind != FaultKind::kNone) {
       ++state.report.faults_injected;
@@ -541,7 +535,7 @@ FaultCampaignReport run_fault_campaign(const net::Topology& topology,
 
   FaultCampaignReport total;
   total.steps = config.steps;
-  total.decision_digest = 0xcbf29ce484222325ULL;
+  total.decision_digest = util::kFnvOffsetBasis;
   for (const FaultCampaignReport& slice : slices) {
     merge_report(total, slice);
     total.decision_digest = fnv1a(total.decision_digest,

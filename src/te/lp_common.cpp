@@ -1,8 +1,5 @@
 #include "te/lp_common.h"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace prete::te {
 
 std::vector<int> add_allocation_variables(lp::Model& model,
@@ -39,38 +36,6 @@ void add_capacity_rows(lp::Model& model, const TeProblem& problem,
   }
 }
 
-LazyResult solve_with_lazy_rows(lp::Model& model,
-                                const ViolationOracle& violations,
-                                const LazyOptions& options) {
-  const lp::SimplexSolver solver(options.simplex);
-  LazyResult result;
-  for (int round = 0; round < options.max_rounds; ++round) {
-    result.solution = solver.solve(model);
-    result.rounds = round + 1;
-    if (result.solution.status != lp::SolveStatus::kOptimal) return result;
-    std::vector<ScoredRow> rows = violations(model, result.solution);
-    if (rows.empty()) return result;
-    if (model.num_rows() >= options.max_total_rows) return result;
-    std::sort(rows.begin(), rows.end(), [](const ScoredRow& a, const ScoredRow& b) {
-      return a.violation > b.violation;
-    });
-    const auto budget = static_cast<std::size_t>(
-        std::min(options.max_rows_per_round,
-                 options.max_total_rows - model.num_rows()));
-    const auto keep = std::min<std::size_t>(rows.size(), budget);
-    for (std::size_t i = 0; i < keep; ++i) {
-      model.add_row(std::move(rows[i].row));
-      ++result.rows_added;
-    }
-  }
-  // Ran out of rounds with violations remaining: report as iteration limit.
-  // The solution kept here is the last round's optimum — primal feasible for
-  // the rows generated so far — so it doubles as the usable incumbent the
-  // status contract promises.
-  result.solution.status = lp::SolveStatus::kIterationLimit;
-  return result;
-}
-
 TePolicy extract_policy(const TeProblem& problem,
                         const std::vector<int>& alloc_vars,
                         const lp::Solution& solution) {
@@ -82,6 +47,27 @@ TePolicy extract_policy(const TeProblem& problem,
         solution.x[static_cast<std::size_t>(alloc_vars[t])];
   }
   return policy;
+}
+
+std::vector<lp::Coefficient> surviving_coefficients(
+    const TeProblem& problem, const std::vector<int>& alloc, net::FlowId f,
+    const std::vector<bool>& failed, double scale) {
+  std::vector<lp::Coefficient> coefs;
+  for_each_surviving(problem, f, failed, [&](net::TunnelId t) {
+    coefs.push_back({alloc[static_cast<std::size_t>(t)], scale});
+  });
+  return coefs;
+}
+
+void add_cvar_row(lp::Model& model, const TeProblem& problem,
+                  const std::vector<int>& alloc, int var_t, net::FlowId f,
+                  const std::vector<bool>& failed, double cost) {
+  const int s = model.add_variable(0.0, 1.0, cost);
+  std::vector<lp::Coefficient> coefs = surviving_coefficients(
+      problem, alloc, f, failed, 1.0 / demand_floor(problem, f));
+  coefs.push_back({s, 1.0});
+  coefs.push_back({var_t, 1.0});
+  model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
 }
 
 }  // namespace prete::te

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "runtime/parallel.h"
 #include "te/types.h"
 
 namespace prete::te {
@@ -19,53 +23,224 @@ std::vector<int> add_allocation_variables(lp::Model& model,
 void add_capacity_rows(lp::Model& model, const TeProblem& problem,
                        const std::vector<int>& alloc_vars);
 
-// Lazy-constraint solve loop: repeatedly solves `model`, asks `violations`
-// for rows violated by the current solution (returning an empty vector when
-// none), adds them, and re-solves. This keeps the dense simplex basis small
-// on formulations with one row per (flow, scenario) pair, where almost all
-// rows are slack at the optimum.
-//
-// Status contract: kOptimal means no violated rows remained (or the row cap
-// was reached on an optimal basis). kIterationLimit — whether from the
-// simplex pivot cap, an expired SimplexOptions deadline, or round
-// exhaustion — is a usable incumbent, not garbage: `solution.x` is the last
-// primal-feasible point reached and `solution.objective` its true value
-// (empty only if not even phase 1 finished). Callers needing duals must
-// still require kOptimal.
-struct LazyResult {
-  lp::Solution solution;
-  int rounds = 0;
-  int rows_added = 0;
-};
-
-// A violated row with its violation magnitude; the lazy driver adds only the
-// most-violated rows each round to keep the basis small.
-struct ScoredRow {
-  double violation = 0.0;
-  lp::Row row;
-};
-
-using ViolationOracle =
-    std::function<std::vector<ScoredRow>(const lp::Model&, const lp::Solution&)>;
-
-struct LazyOptions {
-  lp::SimplexOptions simplex;
-  int max_rounds = 80;
-  // Cap on rows added per round (the worst offenders are kept).
-  int max_rows_per_round = 60;
-  // Hard cap on the model's total row count: keeps the dense simplex basis
-  // bounded even on instances whose active set is genuinely large. When the
-  // cap is reached the current (feasible, slightly under-protected)
-  // solution is returned.
-  int max_total_rows = 900;
-};
-
-LazyResult solve_with_lazy_rows(lp::Model& model, const ViolationOracle& violations,
-                                const LazyOptions& options = {});
-
 // Extracts the tunnel allocation policy from an LP solution.
 TePolicy extract_policy(const TeProblem& problem,
                         const std::vector<int>& alloc_vars,
                         const lp::Solution& solution);
+
+// Flow f's demand as the TE rows divide by it (floored away from zero).
+inline double demand_floor(const TeProblem& problem, net::FlowId f) {
+  return std::max(problem.demand(f), 1e-9);
+}
+
+// Calls visit(t) for each tunnel of flow f that survives the fibers marked
+// in `failed`, in tunnels_for_flow order: the one definition of "surviving"
+// that every TE LP row and pricing pass shares.
+template <class Visit>
+void for_each_surviving(const TeProblem& problem, net::FlowId f,
+                        const std::vector<bool>& failed, Visit&& visit) {
+  for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
+    if (problem.tunnels->alive(*problem.network, t, failed)) visit(t);
+  }
+}
+
+// Row coefficients: `scale` on each surviving tunnel's allocation variable.
+std::vector<lp::Coefficient> surviving_coefficients(
+    const TeProblem& problem, const std::vector<int>& alloc, net::FlowId f,
+    const std::vector<bool>& failed, double scale);
+
+// Fraction of flow f's demand that the allocation `x` routes over its
+// surviving tunnels. Inline: every pricing pass calls it once per (flow,
+// scenario).
+inline double surviving_fraction(const TeProblem& problem,
+                                 const std::vector<int>& alloc,
+                                 const std::vector<double>& x, net::FlowId f,
+                                 const std::vector<bool>& failed) {
+  const double d = demand_floor(problem, f);
+  double frac = 0.0;
+  for_each_surviving(problem, f, failed, [&](net::TunnelId t) {
+    frac += x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])] / d;
+  });
+  return frac;
+}
+
+// TeaVaR's CVaR row for flow f under `failed`: appends a shortfall variable
+// s in [0, 1] costing `cost` and the row s + VaR + (surviving allocation)/d_f
+// >= 1. TeaVaR, ARROW and PreTE's refinement stage share it.
+void add_cvar_row(lp::Model& model, const TeProblem& problem,
+                  const std::vector<int>& alloc, int var_t, net::FlowId f,
+                  const std::vector<bool>& failed, double cost);
+
+// ---- Lazy row generation ----
+// Every TE LP with one row per (flow, scenario) pair — the Benders
+// subproblem, PreTE's CVaR refinement, TeaVaR/ARROW and FFC — is solved by
+// row generation (Algorithm 2, Appendix A.4): solve over the rows generated
+// so far, price the missing rows against that solution, add the worst
+// offenders, re-solve. Almost all rows are slack at the optimum, so the
+// simplex basis stays near the active set. Rows, and any columns they bring,
+// only append, so each re-solve warm-starts from the previous round's basis
+// under the SimplexBasis prefix contract. The limits are shared by all four.
+inline constexpr int kMaxRowRounds = 80;
+inline constexpr int kMaxRowsPerRound = 60;
+// An optimal solve at or past this many model rows stops the loop without
+// pricing, keeping the basis bounded where the active set is genuinely
+// large. Its solution is feasible and slightly under-protected.
+inline constexpr int kMaxModelRows = 900;
+
+// A missing row that a pricing pass found violated, under the caller's key.
+// The highest scores are added first.
+template <class Key>
+struct RowCandidate {
+  double score = 0.0;
+  Key key{};
+};
+
+enum class RowStop {
+  kPriced,    // pricing found no violated row
+  kRowCap,    // an optimal solve reached kMaxModelRows
+  kRounds,    // kMaxRowRounds solves still left rows violated
+  kDeadline,  // the simplex deadline had expired at the start of a round
+  kFailed,    // a solve ended without an optimum
+};
+
+template <class Key>
+struct RowGeneration {
+  RowStop stop = RowStop::kRounds;
+  lp::Solution optimal;    // the last optimal solve (none: status not kOptimal)
+  lp::Solution failed;     // the solve that ended a kFailed loop
+  lp::SimplexBasis basis;  // `optimal`'s basis: the snapshot to carry
+  std::vector<Key> keys;   // `optimal`'s generated rows, in row order
+  int solves = 0;
+  int pivots = 0;
+  bool warm_installed = false;  // the first solve installed its seed basis
+
+  // The LP is solved over every row it needs, or up to the row cap.
+  bool complete() const {
+    return stop == RowStop::kPriced || stop == RowStop::kRowCap;
+  }
+  // The last primal-feasible point: a failed solve's phase-2 incumbent
+  // (kIterationLimit with an x), otherwise the last optimal solve; null when
+  // there is neither.
+  const lp::Solution* incumbent() const {
+    if (stop == RowStop::kFailed) {
+      return failed.status == lp::SolveStatus::kIterationLimit &&
+                     !failed.x.empty()
+                 ? &failed
+                 : nullptr;
+    }
+    return optimal.status == lp::SolveStatus::kOptimal ? &optimal : nullptr;
+  }
+};
+
+// Row generation over one model. The caller says how a key becomes a row
+// (`add_row`), which rows a solution violates (the pricing function given
+// to run) and what a stop means for it; the generator owns the loop, the
+// limits and the generated keys.
+template <class Key>
+class RowGenerator {
+ public:
+  // `add_row(key)` appends key's row, and any column it brings, to `model`.
+  RowGenerator(lp::Model& model, std::function<void(const Key&)> add_row)
+      : model_(model), add_row_(std::move(add_row)) {}
+
+  void add(const Key& key) {
+    add_row_(key);
+    keys_.push_back(key);
+    present_.insert(key);
+  }
+  bool has(const Key& key) const { return present_.count(key) != 0; }
+  const std::vector<Key>& keys() const { return keys_; }
+
+  // Re-adds `carried` — the keys of the snapshot `basis`, taken on the same
+  // model prefix — in order while `admit(key)` holds and the key is new, so
+  // the replayed rows line up with `basis` row for row. Returns `basis` when
+  // every key replayed, its truncation to the replayed rows and columns when
+  // only a prefix did, and an invalid basis when none did.
+  template <class Admit>
+  lp::SimplexBasis replay(const lp::SimplexBasis& basis,
+                          const std::vector<Key>& carried, Admit&& admit) {
+    std::size_t replayed = 0;
+    if (basis.valid()) {
+      for (const Key& key : carried) {
+        if (!admit(key) || has(key)) break;
+        add(key);
+        ++replayed;
+      }
+    }
+    if (replayed == 0) return {};
+    if (replayed == carried.size()) return basis;
+    return basis.truncated(model_.num_rows(), model_.num_variables());
+  }
+
+  // Runs the loop from `warm` (may be invalid). `price(solution, i, out)`
+  // appends the violated missing rows of pricing group i < `groups` (a
+  // scenario, or one of FFC's failure sets) to `out`. Groups price in
+  // parallel and concatenate in index order, so the candidate list is the
+  // serial sweep's at any pool size.
+  template <class Price>
+  RowGeneration<Key> run(const lp::SimplexOptions& options,
+                         const lp::SimplexBasis& warm, std::size_t groups,
+                         Price&& price) {
+    using Candidates = std::vector<RowCandidate<Key>>;
+    const lp::SimplexSolver solver(options);
+    RowGeneration<Key> out;
+    const lp::SimplexBasis* seed = warm.valid() ? &warm : nullptr;
+    lp::SimplexBasis basis;
+    std::size_t snapshot_keys = 0;
+    for (int round = 0; round < kMaxRowRounds; ++round) {
+      if (options.deadline != nullptr && options.deadline->expired()) {
+        out.stop = RowStop::kDeadline;
+        break;
+      }
+      lp::Solution solution = solver.solve(model_, seed, &basis);
+      out.pivots += solution.iterations;
+      if (out.solves++ == 0) out.warm_installed = solution.warm_installed;
+      if (solution.status != lp::SolveStatus::kOptimal) {
+        out.failed = std::move(solution);
+        out.stop = RowStop::kFailed;
+        break;
+      }
+      // Snapshot while basis and keys agree: rows added below would not be
+      // covered by the basis until the next solve.
+      out.optimal = std::move(solution);
+      out.basis = std::move(basis);
+      snapshot_keys = keys_.size();
+      seed = &out.basis;
+      if (model_.num_rows() >= kMaxModelRows) {
+        out.stop = RowStop::kRowCap;
+        break;
+      }
+      const auto per_group = runtime::parallel_map(
+          groups,
+          [&](std::size_t i) {
+            Candidates found;
+            price(out.optimal, i, found);
+            return found;
+          },
+          /*grain=*/4);
+      Candidates violated;
+      for (const Candidates& found : per_group) {
+        violated.insert(violated.end(), found.begin(), found.end());
+      }
+      if (violated.empty()) {
+        out.stop = RowStop::kPriced;
+        break;
+      }
+      std::sort(violated.begin(), violated.end(),
+                [](const auto& a, const auto& b) { return a.score > b.score; });
+      violated.resize(std::min<std::size_t>(violated.size(), kMaxRowsPerRound));
+      for (const RowCandidate<Key>& candidate : violated) add(candidate.key);
+    }
+    out.keys.assign(keys_.begin(),
+                    keys_.begin() + static_cast<std::ptrdiff_t>(snapshot_keys));
+    return out;
+  }
+
+ private:
+  lp::Model& model_;
+  std::function<void(const Key&)> add_row_;
+  std::vector<Key> keys_;
+  std::set<Key> present_;
+};
 
 }  // namespace prete::te

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstring>
 #include <map>
 #include <numeric>
-#include <set>
 #include <tuple>
 #include <stdexcept>
 
@@ -13,41 +13,12 @@
 #include "lp/simplex.h"
 #include "runtime/parallel.h"
 #include "te/lp_common.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace prete::te {
 
 namespace {
-
-// Fraction of flow f's demand carried by tunnels surviving scenario q under
-// the given allocations.
-double alive_fraction(const TeProblem& problem, const lp::Solution& sol,
-                      const std::vector<int>& alloc, net::FlowId f,
-                      const FailureScenario& q) {
-  const double d = std::max(problem.demand(f), 1e-9);
-  double frac = 0.0;
-  for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-    if (problem.tunnels->alive(*problem.network, t, q.fiber_failed)) {
-      frac += sol.x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])] / d;
-    }
-  }
-  return frac;
-}
-
-// Builds the Phi-row for (f, q): Phi + sum_{t alive} a_t / d_f >= rhs.
-lp::Row phi_row(const TeProblem& problem, const std::vector<int>& alloc,
-                int phi_var, net::FlowId f, const FailureScenario& q,
-                double rhs) {
-  std::vector<lp::Coefficient> coefs;
-  const double d = std::max(problem.demand(f), 1e-9);
-  for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-    if (problem.tunnels->alive(*problem.network, t, q.fiber_failed)) {
-      coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
-    }
-  }
-  coefs.push_back({phi_var, 1.0});
-  return {std::move(coefs), lp::RowType::kGreaterEqual, rhs, ""};
-}
 
 void check_mass(const ScenarioSet& scenarios, double beta) {
   // Negated form so a NaN covered_probability (corrupt upstream
@@ -63,19 +34,16 @@ void check_mass(const ScenarioSet& scenarios, double beta) {
 std::uint64_t problem_shape_signature(const TeProblem& problem) {
   // FNV-1a over everything that fixes the LP column order and the
   // capacity-row coefficient pattern.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+  std::uint64_t h = kSignatureSeed;
+  auto mix = [&h](auto v) {
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(v));
   };
-  mix(static_cast<std::uint64_t>(problem.network->num_links()));
-  mix(static_cast<std::uint64_t>(problem.tunnels->num_tunnels()));
+  mix(problem.network->num_links());
+  mix(problem.tunnels->num_tunnels());
   for (const net::Tunnel& t : problem.tunnels->tunnels()) {
-    mix(static_cast<std::uint64_t>(t.flow));
-    mix(static_cast<std::uint64_t>(t.path.size()));
-    for (net::LinkId link : t.path) mix(static_cast<std::uint64_t>(link));
+    mix(t.flow);
+    mix(t.path.size());
+    for (net::LinkId link : t.path) mix(link);
   }
   return h;
 }
@@ -84,18 +52,15 @@ std::uint64_t cut_environment_signature(const TeProblem& problem) {
   // FNV-1a over the subproblem data that can change v(delta) without
   // changing the shape signature: each link's capacity and the fiber it
   // rides on (the latter decides which tunnels a failure pattern kills).
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+  std::uint64_t h = kSignatureSeed;
+  auto mix = [&h](auto v) {
+    h = util::fnv1a_u64(h, static_cast<std::uint64_t>(v));
   };
   const net::Network& net = *problem.network;
-  mix(static_cast<std::uint64_t>(net.num_fibers()));
+  mix(net.num_fibers());
   for (net::LinkId e = 0; e < net.num_links(); ++e) {
     const net::Link& link = net.link(e);
-    mix(static_cast<std::uint64_t>(link.fiber));
+    mix(link.fiber);
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(link.capacity_gbps));
     std::memcpy(&bits, &link.capacity_gbps, sizeof(bits));
@@ -125,18 +90,14 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
   }
   add_capacity_rows(model, problem, alloc);
   for (const net::Flow& flow : flows) {
-    const double d = std::max(problem.demand(flow.id), 1e-9);
+    const double d = demand_floor(problem, flow.id);
     // (5): sum_q p_q delta_{f,q} >= beta.
     std::vector<lp::Coefficient> avail_row;
     for (std::size_t q = 0; q < Q.size(); ++q) {
       avail_row.push_back({delta[{flow.id, q}], Q[q].probability});
       // (4): sum_{t alive} a + d * l >= d.
-      std::vector<lp::Coefficient> demand_row;
-      for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-        if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
-          demand_row.push_back({alloc[static_cast<std::size_t>(t)], 1.0});
-        }
-      }
+      std::vector<lp::Coefficient> demand_row = surviving_coefficients(
+          problem, alloc, flow.id, Q[q].fiber_failed, 1.0);
       demand_row.push_back({loss[{flow.id, q}], d});
       model.add_row(std::move(demand_row), lp::RowType::kGreaterEqual, d);
       // (6): Phi - l + (1 - delta) >= 0  <=>  Phi - l - delta >= -1.
@@ -278,176 +239,101 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   const std::vector<int> alloc = add_allocation_variables(model, problem);
   const int var_t = model.add_variable(0.0, 1.0, 1.0, "VaR");
   add_capacity_rows(model, problem, alloc);
-  // Prefix shared by every refinement LP of this problem shape: allocation
-  // variables + VaR, then the capacity rows. Lazy CVaR rows append shortfall
-  // variables and rows on top, so the cross-epoch snapshot truncates back to
-  // this prefix.
-  const int fixed_rows = model.num_rows();
-  const int fixed_structurals = static_cast<int>(alloc.size()) + 1;
   const double tail = std::max(1.0 - beta, 1e-6);
   const double flow_weight = 1.0 / static_cast<double>(flows.size());
   const double phi_bound = std::min(phi_star + 1e-7, 1.0);
   const bool enforce_guarantee = phi_bound < 1.0;
 
-  std::set<std::pair<int, std::size_t>> have_cvar_row;
-  std::set<std::pair<int, std::size_t>> have_guarantee_row;
-  std::vector<BasisCache::RefineRow> recipe;
-  auto add_cvar_row = [&](net::FlowId f, std::size_t q) {
-    const int s = model.add_variable(
-        0.0, 1.0, Q[q].probability * flow_weight / tail, "");
-    lp::Row row = phi_row(problem, alloc, s, f, Q[q], 1.0);
-    row.coefficients.push_back({var_t, 1.0});
-    model.add_row(std::move(row));
-    have_cvar_row.insert({f, q});
-    if (cache != nullptr) recipe.push_back({false, f, pattern_sig[q]});
+  // Lazy rows are CVaR rows (each appends its shortfall variable) and
+  // guarantee rows: frac >= 1 - Phi*, the quantile guarantee, independent
+  // of t.
+  struct Key {
+    bool guarantee = false;
+    int flow = 0;
+    std::size_t q = 0;
+    auto operator<=>(const Key&) const = default;
   };
-  auto add_guarantee_row = [&](net::FlowId f, std::size_t q) {
-    // frac >= 1 - Phi*: the quantile guarantee, independent of t.
-    std::vector<lp::Coefficient> coefs;
-    const double d = std::max(problem.demand(f), 1e-9);
-    for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-      if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
-        coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
-      }
+  RowGenerator<Key> rows(model, [&](const Key& key) {
+    if (key.guarantee) {
+      model.add_row(
+          surviving_coefficients(problem, alloc, key.flow,
+                                 Q[key.q].fiber_failed,
+                                 1.0 / demand_floor(problem, key.flow)),
+          lp::RowType::kGreaterEqual, 1.0 - phi_bound);
+    } else {
+      add_cvar_row(model, problem, alloc, var_t, key.flow,
+                   Q[key.q].fiber_failed,
+                   Q[key.q].probability * flow_weight / tail);
     }
-    model.add_row(std::move(coefs), lp::RowType::kGreaterEqual,
-                  1.0 - phi_bound);
-    have_guarantee_row.insert({f, q});
-    if (cache != nullptr) recipe.push_back({true, f, pattern_sig[q]});
+  });
+  auto guaranteed = [&](int flow, std::size_t q) {
+    return enforce_guarantee && delta[static_cast<std::size_t>(flow)][q] != 0;
   };
 
-  // Replay the cached epoch's lazy rows in order so the cached full basis
-  // lines up row-for-row (and, for CVaR rows, shortfall-variable-for-
-  // variable). CVaR rows are valid members of the full CVaR model for any
-  // pair, so replaying them never changes the optimum; a guarantee row is
-  // only valid while its pair is guaranteed under the CURRENT delta and
-  // phi_bound, so the replay stops at the first entry that is not, or whose
-  // pattern left the scenario set.
-  lp::SimplexBasis warm;
+  // Replay the cached epoch's lazy rows, their patterns mapped to this
+  // epoch's scenarios, so the cached basis lines up row for row (and, for
+  // CVaR rows, shortfall variable for variable). CVaR rows are valid members
+  // of the full CVaR model for any pair, so replaying them never changes the
+  // optimum; a guarantee row is only valid while its pair is guaranteed
+  // under the CURRENT delta and phi_bound, so the replay stops at the first
+  // entry that is not, or whose pattern left the scenario set.
   const bool seed_offered = cache != nullptr && cache->refine.valid();
+  lp::SimplexBasis warm;
   if (seed_offered) {
-    std::size_t aligned_rows = 0;
-    int aligned_cvar = 0;
+    std::vector<Key> carried;
     for (const BasisCache::RefineRow& rr : cache->refine_rows) {
       const auto it = sig_to_q.find(rr.pattern);
-      if (it == sig_to_q.end() || rr.flow < 0 ||
-          static_cast<std::size_t>(rr.flow) >= delta.size()) {
-        break;
-      }
-      const std::size_t q = it->second;
-      if (rr.guarantee) {
-        if (!enforce_guarantee ||
-            !delta[static_cast<std::size_t>(rr.flow)][q] ||
-            have_guarantee_row.count({rr.flow, q})) {
-          break;
-        }
-        add_guarantee_row(rr.flow, q);
-      } else {
-        if (have_cvar_row.count({rr.flow, q})) break;
-        add_cvar_row(rr.flow, q);
-        ++aligned_cvar;
-      }
-      ++aligned_rows;
+      const std::size_t q = it == sig_to_q.end() ? Q.size() : it->second;
+      carried.push_back({rr.guarantee, rr.flow, q});
     }
-    if (aligned_rows > 0) {
-      warm = aligned_rows == cache->refine_rows.size()
-                 ? cache->refine
-                 : cache->refine.truncated(
-                       fixed_rows + static_cast<int>(aligned_rows),
-                       fixed_structurals + aligned_cvar);
-    }
+    warm = rows.replay(cache->refine, carried, [&](const Key& key) {
+      return key.q < Q.size() && key.flow >= 0 &&
+             static_cast<std::size_t>(key.flow) < delta.size() &&
+             (!key.guarantee || guaranteed(key.flow, key.q));
+    });
   }
   // Every flow gets its q=0 CVaR row unless the replay already added it.
   for (const net::Flow& flow : flows) {
-    if (!have_cvar_row.count({flow.id, 0})) add_cvar_row(flow.id, 0);
+    if (!rows.has({false, flow.id, 0})) rows.add({false, flow.id, 0});
   }
 
-  const lp::SimplexSolver solver(simplex_options);
-  lp::Solution solution;
-  // Last optimal round's solution: a deadline expiry or failed re-solve
-  // falls back to it instead of discarding the whole refinement.
-  lp::Solution best;
-  // Rows and shortfall variables only ever append, so each re-solve also
-  // warm-starts from the previous round's basis.
-  lp::SimplexBasis snapshot_basis;
-  std::vector<BasisCache::RefineRow> snapshot_recipe;
-  constexpr int kMaxRounds = 100;
-  constexpr int kMaxRowsPerRound = 60;
-  constexpr int kMaxTotalRows = 900;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    if (simplex_options.deadline != nullptr &&
-        simplex_options.deadline->expired()) {
-      break;  // keep the last optimal round's refinement
-    }
-    solution = solver.solve(model, warm.valid() ? &warm : nullptr, &warm);
-    if (pivots != nullptr) *pivots += solution.iterations;
-    if (cache != nullptr && round == 0) {
-      count_seed(*cache, seed_offered, solution.warm_installed);
-    }
-    if (solution.status != lp::SolveStatus::kOptimal) break;
-    best = solution;
-    // Snapshot while basis and recipe agree: rows added below this point
-    // would not be covered by `warm` until the next solve.
-    snapshot_basis = warm;
-    snapshot_recipe = recipe;
-    if (model.num_rows() >= kMaxTotalRows) break;  // bounded-basis stop
-    const double t_val = solution.x[static_cast<std::size_t>(var_t)];
-    // (violation, (flow, scenario), needs_guarantee). The per-scenario
-    // pricing sweep only reads the solution and the row-bookkeeping sets,
-    // so scenarios price in parallel; flattening in scenario order keeps
-    // the candidate list identical to the serial sweep.
-    using Candidate = std::tuple<double, std::pair<int, std::size_t>, bool>;
-    const auto per_scenario = runtime::parallel_map(
-        Q.size(),
-        [&](std::size_t q) {
-          std::vector<Candidate> found;
-          for (const net::Flow& flow : flows) {
-            const double frac =
-                alive_fraction(problem, solution, alloc, flow.id, Q[q]);
-            const bool guaranteed =
-                enforce_guarantee &&
-                delta[static_cast<std::size_t>(flow.id)][q] != 0;
-            if (guaranteed && !have_guarantee_row.count({flow.id, q}) &&
-                1.0 - frac > phi_bound + 1e-7) {
-              found.push_back({1.0 - frac - phi_bound, {flow.id, q}, true});
-            }
-            if (!have_cvar_row.count({flow.id, q}) &&
-                1.0 - frac - t_val > 1e-6 && Q[q].probability > 1e-12) {
-              found.push_back(
-                  {(1.0 - frac - t_val) * Q[q].probability, {flow.id, q},
-                   false});
-            }
+  auto result = rows.run(
+      simplex_options, warm, Q.size(),
+      [&](const lp::Solution& sol, std::size_t q,
+          std::vector<RowCandidate<Key>>& out) {
+        const double t_val = sol.x[static_cast<std::size_t>(var_t)];
+        for (const net::Flow& flow : flows) {
+          const double frac = surviving_fraction(problem, alloc, sol.x,
+                                                 flow.id, Q[q].fiber_failed);
+          if (guaranteed(flow.id, q) && !rows.has({true, flow.id, q}) &&
+              1.0 - frac > phi_bound + 1e-7) {
+            out.push_back({1.0 - frac - phi_bound, {true, flow.id, q}});
           }
-          return found;
-        },
-        /*grain=*/4);
-    std::vector<Candidate> violated;
-    for (const auto& found : per_scenario) {
-      violated.insert(violated.end(), found.begin(), found.end());
-    }
-    if (violated.empty()) break;
-    std::sort(violated.begin(), violated.end(), [](const auto& a, const auto& b) {
-      return std::get<0>(a) > std::get<0>(b);
-    });
-    const auto keep = std::min<std::size_t>(violated.size(), kMaxRowsPerRound);
-    for (std::size_t i = 0; i < keep; ++i) {
-      const auto& [viol, key, needs_guarantee] = violated[i];
-      (void)viol;
-      if (needs_guarantee) {
-        add_guarantee_row(key.first, key.second);
-      } else {
-        add_cvar_row(key.first, key.second);
-      }
+          if (!rows.has({false, flow.id, q}) && 1.0 - frac - t_val > 1e-6 &&
+              Q[q].probability > 1e-12) {
+            out.push_back(
+                {(1.0 - frac - t_val) * Q[q].probability, {false, flow.id, q}});
+          }
+        }
+      });
+  if (pivots != nullptr) *pivots += result.pivots;
+  if (cache != nullptr && result.solves > 0) {
+    count_seed(*cache, seed_offered, result.warm_installed);
+  }
+  // A deadline expiry or failed re-solve falls back to the last optimal
+  // round instead of discarding the whole refinement.
+  if (result.optimal.status != lp::SolveStatus::kOptimal) return {};
+  if (cache != nullptr) {
+    cache->refine = std::move(result.basis);
+    cache->refine_rows.clear();
+    for (const Key& key : result.keys) {
+      cache->refine_rows.push_back(
+          {key.guarantee, key.flow, pattern_sig[key.q]});
     }
   }
-  if (best.status != lp::SolveStatus::kOptimal) return {};
-  if (cache != nullptr && snapshot_basis.valid()) {
-    cache->refine = std::move(snapshot_basis);
-    cache->refine_rows = std::move(snapshot_recipe);
-  }
-  // `best` may be from an earlier round than the current model, but the
+  // The last optimal round may predate the current model, but the
   // allocation variables are the model prefix, so the extraction is valid.
-  return extract_policy(problem, alloc, best);
+  return extract_policy(problem, alloc, result.optimal);
 }
 
 }  // namespace
@@ -499,12 +385,8 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     std::vector<std::pair<double, std::size_t>> fatal_q;  // (prob, q)
     for (std::size_t q = 0; q < Q.size(); ++q) {
       bool any_alive = false;
-      for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-        if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
-          any_alive = true;
-          break;
-        }
-      }
+      for_each_surviving(problem, flow.id, Q[q].fiber_failed,
+                         [&](net::TunnelId) { any_alive = true; });
       if (!any_alive) fatal_q.push_back({Q[q].probability, q});
     }
     // Drop the most probable fatal scenarios first — they hurt Phi the most
@@ -767,7 +649,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   lp::SimplexOptions simplex_options = options.simplex;
   if (options.deadline != nullptr) simplex_options.deadline = options.deadline;
   util::Deadline* const deadline = simplex_options.deadline;
-  const lp::SimplexSolver solver(simplex_options);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     if (deadline != nullptr && deadline->expired()) {
@@ -777,150 +658,95 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     result.iterations = iter + 1;
 
     // ---- Subproblem: LP with lazy Phi-rows for delta == 1 pairs. ----
-    // The loop is managed here (not via solve_with_lazy_rows) because the
-    // dual of every added row must be mapped back to its (flow, scenario)
-    // key to assemble the Benders cut.
+    // Each row is keyed by its (flow, scenario) pair: the dual of every row
+    // maps back to its key to assemble the Benders cut.
     lp::Model sp(lp::Sense::kMinimize);
     const std::vector<int> alloc = add_allocation_variables(sp, problem);
     const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
     add_capacity_rows(sp, problem, alloc);
-    std::vector<std::pair<int, std::size_t>> row_keys;  // after capacity rows
-    std::set<std::pair<int, std::size_t>> seen_keys;
     const int fixed_rows = sp.num_rows();
+    using Key = std::pair<int, std::size_t>;
+    // Phi-row for (f, q): Phi + sum_{t alive} a_t / d_f >= 1.
+    RowGenerator<Key> rows(sp, [&](const Key& key) {
+      std::vector<lp::Coefficient> coefs = surviving_coefficients(
+          problem, alloc, key.first, Q[key.second].fiber_failed,
+          1.0 / demand_floor(problem, key.first));
+      coefs.push_back({phi, 1.0});
+      sp.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
+    });
+    auto selected = [&](const Key& key) {
+      return delta[static_cast<std::size_t>(key.first)][key.second] != 0;
+    };
     // Replay the carried rows in order, stopping at the first key the
     // current delta no longer selects — everything before the stop lines up
     // with the carried basis row-for-row. Phi-rows are valid for any
     // selected pair, so replaying them never changes the subproblem optimum.
-    std::size_t aligned = 0;
-    if (carry.valid()) {
-      for (const auto& key : carry_keys) {
-        if (key.second >= Q.size() || key.first < 0 ||
-            static_cast<std::size_t>(key.first) >= delta.size() ||
-            !delta[static_cast<std::size_t>(key.first)][key.second] ||
-            seen_keys.count(key)) {
-          break;
-        }
-        sp.add_row(phi_row(problem, alloc, phi, key.first, Q[key.second], 1.0));
-        row_keys.push_back(key);
-        seen_keys.insert(key);
-        ++aligned;
+    const lp::SimplexBasis warm =
+        rows.replay(carry, carry_keys, [&](const Key& key) {
+          return key.second < Q.size() && key.first >= 0 &&
+                 static_cast<std::size_t>(key.first) < delta.size() &&
+                 selected(key);
+        });
+    // Hint seed: the hint's voted final Phi-rows, restricted to pairs the
+    // current delta actually selects. Any selected pair's Phi-row is a
+    // valid member of the full subproblem, so seeding can only save
+    // row-generation rounds, never change the SP optimum.
+    if (rows.keys().empty() && hint_verified && iter == 0) {
+      for (const WarmHint::Pair& p : hint->active_rows) {
+        const auto it = sig_to_q.find(p.pattern);
+        if (it == sig_to_q.end()) continue;
+        const Key key{p.flow, it->second};
+        if (selected(key) && !rows.has(key)) rows.add(key);
       }
     }
-    if (row_keys.empty()) {
-      // Hint seed: the hint's voted final Phi-rows, restricted to
-      // pairs the current delta actually selects. Any selected pair's
-      // Phi-row is a valid member of the full subproblem, so seeding can
-      // only save row-generation rounds, never change the SP optimum.
-      if (hint_verified && iter == 0) {
-        for (const WarmHint::Pair& p : hint->active_rows) {
-          const auto it = sig_to_q.find(p.pattern);
-          if (it == sig_to_q.end()) continue;
-          const std::pair<int, std::size_t> key{p.flow, it->second};
-          if (!delta[static_cast<std::size_t>(p.flow)][it->second] ||
-              seen_keys.count(key)) {
-            continue;
-          }
-          sp.add_row(
-              phi_row(problem, alloc, phi, p.flow, Q[it->second], 1.0));
-          row_keys.push_back(key);
-          seen_keys.insert(key);
-        }
-      }
-      if (row_keys.empty()) {
-        // Cold seed: the highest-probability scenario's rows.
-        for (const net::Flow& flow : flows) {
-          if (delta[static_cast<std::size_t>(flow.id)][0]) {
-            sp.add_row(phi_row(problem, alloc, phi, flow.id, Q[0], 1.0));
-            row_keys.push_back({flow.id, 0});
-            seen_keys.insert({flow.id, 0});
-          }
-        }
+    // Cold seed: the highest-probability scenario's rows.
+    if (rows.keys().empty()) {
+      for (const net::Flow& flow : flows) {
+        if (selected({flow.id, 0})) rows.add({flow.id, 0});
       }
     }
 
-    lp::Solution sp_solution;
-    lp::SimplexBasis warm;  // invalid on an unseeded first round
-    if (aligned > 0) {
-      warm = aligned == carry_keys.size()
-                 ? carry
-                 : carry.truncated(fixed_rows + static_cast<int>(aligned));
+    auto sp_result = rows.run(
+        simplex_options, warm, Q.size(),
+        [&](const lp::Solution& sol, std::size_t q,
+            std::vector<RowCandidate<Key>>& out) {
+          constexpr double kTol = 1e-7;
+          const double phi_val = sol.x[static_cast<std::size_t>(phi)];
+          for (const net::Flow& flow : flows) {
+            if (!selected({flow.id, q}) || rows.has({flow.id, q})) continue;
+            const double shortfall =
+                1.0 - phi_val -
+                surviving_fraction(problem, alloc, sol.x, flow.id,
+                                   Q[q].fiber_failed);
+            if (shortfall > kTol) out.push_back({shortfall, {flow.id, q}});
+          }
+        });
+    result.simplex_pivots += sp_result.pivots;
+    if (cache != nullptr && iter == 0 && sp_result.solves > 0) {
+      count_seed(*cache, seed_offered, sp_result.warm_installed);
     }
-    bool sp_ok = false;
-    constexpr int kMaxRounds = 80;
-    constexpr int kMaxRowsPerRound = 60;
-    constexpr int kMaxTotalRows = 900;
-    for (int round = 0; round < kMaxRounds; ++round) {
-      sp_solution = solver.solve(sp, warm.valid() ? &warm : nullptr, &warm);
-      result.simplex_pivots += sp_solution.iterations;
-      if (cache != nullptr && iter == 0 && round == 0) {
-        count_seed(*cache, seed_offered, sp_solution.warm_installed);
-      }
-      if (sp_solution.status != lp::SolveStatus::kOptimal) break;
-      // Snapshot while basis and keys agree: rows added below this point
-      // would not be covered by `warm` until the next solve.
-      carry = warm;
-      carry_keys = row_keys;
+    if (sp_result.optimal.status == lp::SolveStatus::kOptimal) {
+      carry = std::move(sp_result.basis);
+      carry_keys = std::move(sp_result.keys);
       carry_fresh = true;
-      if (sp.num_rows() >= kMaxTotalRows) {
-        sp_ok = true;  // bounded-basis stop: accept the current subproblem
-        break;
-      }
-      constexpr double kTol = 1e-7;
-      const double phi_val = sp_solution.x[static_cast<std::size_t>(phi)];
-      // Collect the globally worst violated (f, q) rows. Scenarios price in
-      // parallel (reads only); concatenation in scenario order keeps the
-      // list identical to the serial sweep.
-      using SpCandidate = std::pair<double, std::pair<int, std::size_t>>;
-      const auto per_scenario = runtime::parallel_map(
-          Q.size(),
-          [&](std::size_t q) {
-            std::vector<SpCandidate> found;
-            for (const net::Flow& flow : flows) {
-              if (!delta[static_cast<std::size_t>(flow.id)][q]) continue;
-              if (seen_keys.count({flow.id, q})) continue;
-              const double shortfall =
-                  1.0 - phi_val -
-                  alive_fraction(problem, sp_solution, alloc, flow.id, Q[q]);
-              if (shortfall > kTol) found.push_back({shortfall, {flow.id, q}});
-            }
-            return found;
-          },
-          /*grain=*/4);
-      std::vector<SpCandidate> violated;
-      for (const auto& found : per_scenario) {
-        violated.insert(violated.end(), found.begin(), found.end());
-      }
-      if (violated.empty()) {
-        sp_ok = true;
-        break;
-      }
-      std::sort(violated.begin(), violated.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      const auto keep = std::min<std::size_t>(violated.size(), kMaxRowsPerRound);
-      for (std::size_t i = 0; i < keep; ++i) {
-        const auto& key = violated[i].second;
-        sp.add_row(phi_row(problem, alloc, phi, key.first, Q[key.second], 1.0));
-        row_keys.push_back(key);
-        seen_keys.insert(key);
-      }
     }
-    if (!sp_ok) {
+    if (!sp_result.complete()) {
       // A pivot/deadline-limited subproblem still carries a primal-feasible
       // point (the capacity rows are hard rows of every SP model), so its
       // allocation is installable. Keep it as a best-effort policy when no
       // completed subproblem produced one — but never trust its objective:
       // mid-row-generation it underestimates the true SP value, so the
       // bounds stay untouched and no cut is built from it.
-      if (sp_solution.status == lp::SolveStatus::kIterationLimit &&
-          !sp_solution.x.empty() && result.policy.allocation.empty()) {
-        result.policy = extract_policy(problem, alloc, sp_solution);
+      const lp::Solution* incumbent = sp_result.incumbent();
+      if (incumbent != nullptr && result.policy.allocation.empty()) {
+        result.policy = extract_policy(problem, alloc, *incumbent);
       }
       if (deadline != nullptr && deadline->expired()) {
         result.deadline_exceeded = true;
       }
       break;  // keep the best incumbent found so far
     }
-    const lp::Solution& sp_result_solution = sp_solution;
+    const lp::Solution& sp_result_solution = sp_result.optimal;
     const double sp_value = sp_result_solution.objective;
 
     // Update incumbent (the SP allocation is feasible for the original
@@ -934,13 +760,14 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     }
 
     // ---- Optimality cut from the duals (Eqn. 11). ----
+    // carry_keys now names this subproblem's Phi-rows, in row order.
     BendersCut cut;
     cut.constant = sp_value;
-    for (std::size_t r = 0; r < row_keys.size(); ++r) {
+    for (std::size_t r = 0; r < carry_keys.size(); ++r) {
       const double w =
           sp_result_solution.duals[static_cast<std::size_t>(fixed_rows) + r];
       if (w > 1e-10) {
-        cut.weights[row_keys[r]] += w;
+        cut.weights[carry_keys[r]] += w;
         cut.constant -= w;  // subtract w * delta_hat (delta_hat == 1)
       }
     }

@@ -131,16 +131,7 @@ PreTeScheme::ShapeState& PreTeScheme::shape_state(std::uint64_t signature) {
            jt != shape_states_.end(); ++jt) {
         if (jt->second.last_used < victim->second.last_used) victim = jt;
       }
-      retired_.hits += victim->second.basis.hits;
-      retired_.cold_starts += victim->second.basis.cold_starts;
-      retired_.rejected += victim->second.basis.rejected;
-      retired_.cuts_replayed += victim->second.cut_bank.replayed;
-      retired_.cuts_invalidated += victim->second.cut_bank.invalidated;
-      retired_.cuts_banked += victim->second.cut_bank.inserted;
-      retired_.cut_evictions += victim->second.cut_bank.evicted;
-      retired_.hints_issued += victim->second.hints.issued;
-      retired_.hints_accepted += victim->second.hints.accepted;
-      retired_.hints_rejected += victim->second.hints.rejected;
+      add_counters(retired_, victim->second);
       shape_states_.erase(victim);
       ++evictions_;
     }
@@ -154,20 +145,21 @@ PreTeScheme::CacheStats PreTeScheme::cache_stats() const {
   CacheStats stats = retired_;
   stats.shapes = static_cast<int>(shape_states_.size());
   stats.evictions = evictions_;
-  for (const auto& [signature, state] : shape_states_) {
-    (void)signature;
-    stats.hits += state.basis.hits;
-    stats.cold_starts += state.basis.cold_starts;
-    stats.rejected += state.basis.rejected;
-    stats.cuts_replayed += state.cut_bank.replayed;
-    stats.cuts_invalidated += state.cut_bank.invalidated;
-    stats.cuts_banked += state.cut_bank.inserted;
-    stats.cut_evictions += state.cut_bank.evicted;
-    stats.hints_issued += state.hints.issued;
-    stats.hints_accepted += state.hints.accepted;
-    stats.hints_rejected += state.hints.rejected;
-  }
+  for (const auto& entry : shape_states_) add_counters(stats, entry.second);
   return stats;
+}
+
+void PreTeScheme::add_counters(CacheStats& stats, const ShapeState& state) {
+  stats.hits += state.basis.hits;
+  stats.cold_starts += state.basis.cold_starts;
+  stats.rejected += state.basis.rejected;
+  stats.cuts_replayed += state.cut_bank.replayed;
+  stats.cuts_invalidated += state.cut_bank.invalidated;
+  stats.cuts_banked += state.cut_bank.inserted;
+  stats.cut_evictions += state.cut_bank.evicted;
+  stats.hints_issued += state.hints.issued;
+  stats.hints_accepted += state.hints.accepted;
+  stats.hints_rejected += state.hints.rejected;
 }
 
 }  // namespace prete::te

@@ -172,6 +172,9 @@ class PreTeScheme {
     std::uint64_t last_used = 0;
   };
   ShapeState& shape_state(std::uint64_t signature);
+  // Adds one shape's per-shape counters into `stats`: the one list the LRU
+  // eviction and cache_stats() both sum.
+  static void add_counters(CacheStats& stats, const ShapeState& state);
 
   std::vector<double> static_probs_;
   PreTeConfig config_;

@@ -6,6 +6,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "util/hash.h"
+
 namespace prete::te {
 
 bool FailureScenario::any_failure() const {
@@ -23,15 +25,9 @@ std::uint64_t scenario_signature(const FailureScenario& scenario) {
   // iteration is index order, so the set is already canonical). The fiber
   // count and probability stay out: the signature identifies the failure
   // pattern itself, which is all the Benders subproblem sees.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kSignatureSeed;
   for (std::size_t f = 0; f < scenario.fiber_failed.size(); ++f) {
-    if (scenario.fiber_failed[f]) mix(static_cast<std::uint64_t>(f));
+    if (scenario.fiber_failed[f]) h = util::fnv1a_u64(h, f);
   }
   return h;
 }

@@ -28,6 +28,13 @@ struct FailureScenario {
 // onto the next epoch's scenario indices.
 std::uint64_t scenario_signature(const FailureScenario& scenario);
 
+// Starting hash of the te signatures (scenario_signature,
+// problem_shape_signature, cut_environment_signature). It is one digit
+// short of util::kFnvOffsetBasis. It stays: the hint bank orders its votes
+// by pattern signature and draws its reservoir from the shape signature,
+// so a new seed would move decisions.
+inline constexpr std::uint64_t kSignatureSeed = 1469598103934665603ull;
+
 struct ScenarioSet {
   std::vector<FailureScenario> scenarios;
   // Probability mass covered by the enumerated scenarios. The residual

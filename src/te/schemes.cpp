@@ -2,29 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "te/lp_common.h"
 #include "te/minmax.h"
 
 namespace prete::te {
-
-namespace {
-
-// Is tunnel t alive when the fibers in `failed` are cut?
-bool tunnel_alive(const TeProblem& problem, net::TunnelId t,
-                  const std::vector<int>& failed) {
-  const net::Network& net = *problem.network;
-  for (net::LinkId e : problem.tunnels->tunnel(t).path) {
-    const net::FiberId f = net.link(e).fiber;
-    if (std::find(failed.begin(), failed.end(), f) != failed.end()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 TePolicy EcmpScheme::compute(const TeProblem& problem, const ScenarioSet&) {
   TePolicy policy;
@@ -56,14 +38,14 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
   std::vector<int> granted;
   granted.reserve(flows.size());
   for (const net::Flow& flow : flows) {
-    const double d = std::max(problem.demand(flow.id), 1e-9);
+    const double d = demand_floor(problem, flow.id);
     granted.push_back(model.add_variable(0.0, d, 1.0 / d,
                                          "b_f" + std::to_string(flow.id)));
   }
   const int lambda = model.add_variable(
       0.0, 1.0, 10.0 * static_cast<double>(flows.size()), "lambda");
   for (const net::Flow& flow : flows) {
-    const double d = std::max(problem.demand(flow.id), 1e-9);
+    const double d = demand_floor(problem, flow.id);
     model.add_row({{granted[static_cast<std::size_t>(flow.id)], 1.0},
                    {lambda, -d}},
                   lp::RowType::kGreaterEqual, 0.0);
@@ -79,69 +61,60 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
     model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 0.0);
   }
 
-  // Structural failure sets of cardinality <= k.
-  std::vector<std::vector<int>> failure_sets;
+  // Structural failure sets of cardinality <= k, as failed-fiber masks.
+  std::vector<std::vector<bool>> failure_sets;
+  std::vector<bool> failed(static_cast<std::size_t>(net.num_fibers()), false);
   for (net::FiberId i = 0; i < net.num_fibers(); ++i) {
-    if (k_ >= 1) failure_sets.push_back({i});
-    if (k_ >= 2) {
-      for (net::FiberId j = i + 1; j < net.num_fibers(); ++j) {
-        failure_sets.push_back({i, j});
-      }
+    failed[static_cast<std::size_t>(i)] = true;
+    if (k_ >= 1) failure_sets.push_back(failed);
+    for (net::FiberId j = i + 1; k_ >= 2 && j < net.num_fibers(); ++j) {
+      failed[static_cast<std::size_t>(j)] = true;
+      failure_sets.push_back(failed);
+      failed[static_cast<std::size_t>(j)] = false;
     }
+    failed[static_cast<std::size_t>(i)] = false;
   }
 
-  auto oracle = [&](const lp::Model&,
-                    const lp::Solution& sol) -> std::vector<ScoredRow> {
-    std::vector<ScoredRow> rows;
-    constexpr double kTol = 1e-6;
-    for (const auto& failed : failure_sets) {
-      // Worst-violated flow for this failure set. Flows that keep NO tunnel
-      // under the failure set are skipped: no allocation can protect a
-      // physically disconnected flow, and forcing b_f = 0 for it would
-      // punish the flow in every scenario rather than just this one.
-      double worst = kTol;
-      const net::Flow* worst_flow = nullptr;
-      for (const net::Flow& flow : flows) {
-        double alive_sum = 0.0;
-        bool any_alive = false;
-        for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-          if (tunnel_alive(problem, t, failed)) {
-            any_alive = true;
-            alive_sum +=
-                sol.x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])];
+  // One lazy row per (flow, failure set): b_f <= surviving allocation.
+  using Key = std::pair<int, std::size_t>;
+  RowGenerator<Key> rows(model, [&](const Key& key) {
+    std::vector<lp::Coefficient> coefs = surviving_coefficients(
+        problem, alloc, key.first, failure_sets[key.second], 1.0);
+    coefs.push_back({granted[static_cast<std::size_t>(key.first)], -1.0});
+    model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 0.0);
+  });
+  const auto result = rows.run(
+      {}, {}, failure_sets.size(),
+      [&](const lp::Solution& sol, std::size_t s,
+          std::vector<RowCandidate<Key>>& out) {
+        // Worst-violated flow for this failure set. Flows that keep NO
+        // tunnel under the failure set are skipped: no allocation can
+        // protect a physically disconnected flow, and forcing b_f = 0 for it
+        // would punish the flow in every scenario rather than just this one.
+        constexpr double kTol = 1e-6;
+        RowCandidate<Key> worst{kTol, {-1, s}};
+        for (const net::Flow& flow : flows) {
+          double alive_sum = 0.0;
+          bool any_alive = false;
+          for_each_surviving(problem, flow.id, failure_sets[s],
+                             [&](net::TunnelId t) {
+                               any_alive = true;
+                               alive_sum += sol.x[static_cast<std::size_t>(
+                                   alloc[static_cast<std::size_t>(t)])];
+                             });
+          if (!any_alive) continue;
+          const double b = sol.x[static_cast<std::size_t>(
+              granted[static_cast<std::size_t>(flow.id)])];
+          if (b - alive_sum > worst.score) {
+            worst = {b - alive_sum, {flow.id, s}};
           }
         }
-        if (!any_alive) continue;
-        const double b =
-            sol.x[static_cast<std::size_t>(granted[static_cast<std::size_t>(flow.id)])];
-        if (b - alive_sum > worst) {
-          worst = b - alive_sum;
-          worst_flow = &flow;
-        }
-      }
-      if (!worst_flow) continue;
-      std::vector<lp::Coefficient> coefs;
-      for (net::TunnelId t :
-           problem.tunnels->tunnels_for_flow(worst_flow->id)) {
-        if (tunnel_alive(problem, t, failed)) {
-          coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0});
-        }
-      }
-      coefs.push_back(
-          {granted[static_cast<std::size_t>(worst_flow->id)], -1.0});
-      rows.push_back(
-          {worst, {std::move(coefs), lp::RowType::kGreaterEqual, 0.0, ""}});
-    }
-    return rows;
-  };
-
-  const LazyResult result = solve_with_lazy_rows(model, oracle);
-  if (result.solution.status == lp::SolveStatus::kOptimal ||
-      (result.solution.status == lp::SolveStatus::kIterationLimit &&
-       !result.solution.x.empty())) {
-    // An iteration-limited lazy solve still carries a primal-feasible
-    // incumbent allocation — a better policy than abandoning the model.
-    return extract_policy(problem, alloc, result.solution);
+        if (worst.key.first >= 0) out.push_back(worst);
+      });
+  // An iteration-limited solve still carries a primal-feasible incumbent
+  // allocation — a better policy than abandoning the model.
+  if (const lp::Solution* incumbent = result.incumbent()) {
+    return extract_policy(problem, alloc, *incumbent);
   }
   return EcmpScheme().compute(problem, {});  // defensive fallback
 }
@@ -163,84 +136,34 @@ TePolicy solve_cvar(const TeProblem& problem, const ScenarioSet& scenarios,
   const double flow_weight = 1.0 / static_cast<double>(flows.size());
   add_capacity_rows(model, problem, alloc);
 
-  auto alive_fraction = [&](const lp::Solution& sol, const net::Flow& flow,
-                            std::size_t q) {
-    double frac = 0.0;
-    const double d = std::max(problem.demand(flow.id), 1e-9);
-    for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-      if (problem.tunnels->alive(*problem.network, t,
-                                 scenarios.scenarios[q].fiber_failed)) {
-        frac +=
-            sol.x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])] / d;
-      }
-    }
-    return frac;
-  };
-  std::set<std::pair<int, std::size_t>> have_row;
-  auto add_shortfall_row = [&](const net::Flow& flow, std::size_t q) {
-    const int s = model.add_variable(
-        0.0, 1.0,
-        scenarios.scenarios[q].probability * flow_weight / tail,
-        "s_f" + std::to_string(flow.id) + "_q" + std::to_string(q));
-    std::vector<lp::Coefficient> coefs;
-    const double d = std::max(problem.demand(flow.id), 1e-9);
-    for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-      if (problem.tunnels->alive(*problem.network, t,
-                                 scenarios.scenarios[q].fiber_failed)) {
-        coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
-      }
-    }
-    coefs.push_back({s, 1.0});
-    coefs.push_back({var_t, 1.0});
-    model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
-    have_row.insert({flow.id, q});
-  };
-
+  using Key = std::pair<int, std::size_t>;
+  RowGenerator<Key> rows(model, [&](const Key& key) {
+    const FailureScenario& q = scenarios.scenarios[key.second];
+    add_cvar_row(model, problem, alloc, var_t, key.first, q.fiber_failed,
+                 q.probability * flow_weight / tail);
+  });
   // Seed with the highest-probability (usually no-failure) scenario.
-  for (const net::Flow& flow : flows) add_shortfall_row(flow, 0);
-
-  const lp::SimplexSolver solver;
-  lp::Solution solution;
-  // Shortfall variables and rows only ever append, so each re-solve
-  // warm-starts from the previous round's basis (prefix contract).
-  lp::SimplexBasis warm;
-  bool converged = false;
-  constexpr int kMaxRounds = 80;
-  constexpr int kMaxRowsPerRound = 60;
-  constexpr int kMaxTotalRows = 900;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    solution = solver.solve(model, warm.valid() ? &warm : nullptr, &warm);
-    if (solution.status != lp::SolveStatus::kOptimal) break;
-    if (model.num_rows() >= kMaxTotalRows) {
-      converged = true;  // bounded-basis stop: accept the current policy
-      break;
-    }
-    const double t_val = solution.x[static_cast<std::size_t>(var_t)];
-    std::vector<std::pair<double, std::pair<int, std::size_t>>> violated;
-    constexpr double kTol = 1e-6;
-    for (std::size_t q = 0; q < scenarios.scenarios.size(); ++q) {
-      for (const net::Flow& flow : flows) {
-        if (have_row.count({flow.id, q})) continue;  // s var absorbs it
-        const double violation = 1.0 - alive_fraction(solution, flow, q) - t_val;
-        if (violation > kTol) violated.push_back({violation, {flow.id, q}});
-      }
-    }
-    if (violated.empty()) {
-      converged = true;
-      break;
-    }
-    std::sort(violated.begin(), violated.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    const auto keep = std::min<std::size_t>(violated.size(), kMaxRowsPerRound);
-    for (std::size_t i = 0; i < keep; ++i) {
-      const auto& [flow_id, q] = violated[i].second;
-      add_shortfall_row(flows[static_cast<std::size_t>(flow_id)], q);
-    }
-  }
-  if (!converged) {
+  for (const net::Flow& flow : flows) rows.add({flow.id, 0});
+  const auto result = rows.run(
+      {}, {}, scenarios.scenarios.size(),
+      [&](const lp::Solution& sol, std::size_t q,
+          std::vector<RowCandidate<Key>>& out) {
+        constexpr double kTol = 1e-6;
+        const double t_val = sol.x[static_cast<std::size_t>(var_t)];
+        for (const net::Flow& flow : flows) {
+          if (rows.has({flow.id, q})) continue;  // s var absorbs it
+          const double violation =
+              1.0 -
+              surviving_fraction(problem, alloc, sol.x, flow.id,
+                                 scenarios.scenarios[q].fiber_failed) -
+              t_val;
+          if (violation > kTol) out.push_back({violation, {flow.id, q}});
+        }
+      });
+  if (!result.complete()) {
     return EcmpScheme().compute(problem, {});  // defensive fallback
   }
-  return extract_policy(problem, alloc, solution);
+  return extract_policy(problem, alloc, result.optimal);
 }
 
 }  // namespace
