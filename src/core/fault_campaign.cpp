@@ -278,6 +278,15 @@ void fold_outcome(const net::Topology& topology,
   if (!validate_policy(problem, decision->policy).valid) {
     ++report.validator_failures;
   }
+  if (decision->phi <= te::kGuaranteeThreshold) {
+    const double beta =
+        std::min(controller.scheme().config().beta,
+                 decision->believed_scenarios.covered_probability);
+    if (te::evaluate_phi(problem, decision->believed_scenarios, beta,
+                         decision->policy) > decision->phi + 1e-6) {
+      ++report.phi_violations;
+    }
+  }
   report.decision_digest =
       fold_decision(report.decision_digest, d.step, *decision);
   if (injector.group_cut_at(d.step) >= 0) {
@@ -451,6 +460,7 @@ void merge_report(FaultCampaignReport& total, const FaultCampaignReport& s) {
   total.faults_injected += s.faults_injected;
   total.exceptions += s.exceptions;
   total.validator_failures += s.validator_failures;
+  total.phi_violations += s.phi_violations;
   total.decisions += s.decisions;
   total.no_decision_steps += s.no_decision_steps;
   total.malformed_windows += s.malformed_windows;
@@ -477,6 +487,7 @@ std::string FaultCampaignReport::summary() const {
   std::ostringstream os;
   os << "steps=" << steps << " faults=" << faults_injected
      << " exceptions=" << exceptions << " invalid=" << validator_failures
+     << " phi_violations=" << phi_violations
      << " rungs=[" << rung_count[0] << ',' << rung_count[1] << ','
      << rung_count[2] << ',' << rung_count[3] << ']'
      << " untrusted=" << untrusted_windows

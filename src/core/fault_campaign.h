@@ -78,6 +78,9 @@ struct FaultCampaignReport {
   int faults_injected = 0;      // steps with a non-kNone fault armed
   int exceptions = 0;           // exceptions escaping the controller (must be 0)
   int validator_failures = 0;   // installed policies failing validate_policy
+  // Guaranteed decisions (phi <= te::kGuaranteeThreshold) whose policy
+  // te::evaluate_phi puts above the reported phi + 1e-6 (must be 0).
+  int phi_violations = 0;
   int decisions = 0;            // steps that produced a ControlDecision
   int no_decision_steps = 0;    // nullopt from on_telemetry
   int malformed_windows = 0;    // windows rejected by the input guards
@@ -112,7 +115,9 @@ struct FaultCampaignReport {
     }
     return true;
   }
-  bool clean() const { return exceptions == 0 && validator_failures == 0; }
+  bool clean() const {
+    return exceptions == 0 && validator_failures == 0 && phi_violations == 0;
+  }
 
   std::string summary() const;
 };
@@ -124,8 +129,10 @@ struct FaultCampaignReport {
 // before any decision -> static floor; collapse after a good decision ->
 // last-good; a sweep of partial budgets -> incumbent); the remaining steps
 // sample from config.rates. Every decision is re-validated with
-// validate_policy, and any exception escaping the controller is counted —
-// a clean run reports exceptions == 0 and validator_failures == 0.
+// validate_policy, every guaranteed decision's phi is re-evaluated with
+// te::evaluate_phi, and any exception escaping the controller is counted —
+// a clean run reports zero exceptions, validator failures and phi
+// violations.
 FaultCampaignReport run_fault_campaign(const net::Topology& topology,
                                        const std::vector<double>& static_probs,
                                        const net::TrafficMatrix& demands,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "runtime/parallel.h"
 
@@ -58,6 +59,35 @@ std::vector<double> flow_losses(const TeProblem& problem,
         std::clamp(1.0 - delivered / demand, 0.0, 1.0);
   }
   return losses;
+}
+
+double evaluate_phi(const TeProblem& problem, const ScenarioSet& scenarios,
+                    double beta, const TePolicy& policy) {
+  const auto& Q = scenarios.scenarios;
+  std::vector<std::vector<double>> losses;  // [q][flow]
+  for (const FailureScenario& scenario : Q) {
+    losses.push_back(flow_losses(problem, policy, scenario));
+  }
+  const double budget = scenarios.covered_probability - beta;
+  std::vector<std::size_t> order(Q.size());
+  double phi = 0.0;
+  for (std::size_t f = 0; f < problem.flows->size(); ++f) {
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                     std::size_t b) {
+      return losses[a][f] > losses[b][f];
+    });
+    double dropped = 0.0;
+    for (std::size_t q : order) {
+      // The same 1e-12 slack as the solver's budget checks.
+      if (dropped + Q[q].probability > budget + 1e-12) {
+        phi = std::max(phi, losses[q][f]);
+        break;
+      }
+      dropped += Q[q].probability;
+    }
+  }
+  return phi;
 }
 
 std::vector<bool> affected_flows(const TeProblem& problem,

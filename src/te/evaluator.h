@@ -33,6 +33,15 @@ std::vector<bool> affected_flows(const TeProblem& problem,
                                  const FailureScenario& scenario,
                                  const TePolicy* policy = nullptr);
 
+// The decision's phi certificate: each flow's beta-quantile loss under
+// `policy`, maximised over flows. Per flow, the highest-loss scenarios are
+// dropped while their mass fits the covered_probability - beta budget (the
+// budget of Eqn. 5) and the largest remaining loss counts. When
+// solve_min_max_benders reports phi <= kGuaranteeThreshold, its policy's
+// evaluate_phi is at most phi. Costs one flow_losses pass per scenario.
+double evaluate_phi(const TeProblem& problem, const ScenarioSet& scenarios,
+                    double beta, const TePolicy& policy);
+
 struct AvailabilityResult {
   // Probability-weighted fraction of flows meeting their demand
   // (loss <= tolerance) across scenarios — the per-flow availability the

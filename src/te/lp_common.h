@@ -79,13 +79,13 @@ void add_cvar_row(lp::Model& model, const TeProblem& problem,
 // offenders, re-solve. Almost all rows are slack at the optimum, so the
 // simplex basis stays near the active set. Rows, and any columns they bring,
 // only append, so each re-solve warm-starts from the previous round's basis
-// under the SimplexBasis prefix contract. The limits are shared by all four.
+// under the SimplexBasis prefix contract. Two limits, shared by all four,
+// bound the loop and with it the model's growth: kMaxRowRounds solves of at
+// most kMaxRowsPerRound new rows each. A loop stopped by either limit, the
+// deadline or a failed solve has not priced every row, so its solution may
+// violate rows it never generated.
 inline constexpr int kMaxRowRounds = 80;
 inline constexpr int kMaxRowsPerRound = 60;
-// An optimal solve at or past this many model rows stops the loop without
-// pricing, keeping the basis bounded where the active set is genuinely
-// large. Its solution is feasible and slightly under-protected.
-inline constexpr int kMaxModelRows = 900;
 
 // A missing row that a pricing pass found violated, under the caller's key.
 // The highest scores are added first.
@@ -97,7 +97,6 @@ struct RowCandidate {
 
 enum class RowStop {
   kPriced,    // pricing found no violated row
-  kRowCap,    // an optimal solve reached kMaxModelRows
   kRounds,    // kMaxRowRounds solves still left rows violated
   kDeadline,  // the simplex deadline had expired at the start of a round
   kFailed,    // a solve ended without an optimum
@@ -114,10 +113,8 @@ struct RowGeneration {
   int pivots = 0;
   bool warm_installed = false;  // the first solve installed its seed basis
 
-  // The LP is solved over every row it needs, or up to the row cap.
-  bool complete() const {
-    return stop == RowStop::kPriced || stop == RowStop::kRowCap;
-  }
+  // The LP is solved over every row it needs.
+  bool complete() const { return stop == RowStop::kPriced; }
   // The last primal-feasible point: a failed solve's phase-2 incumbent
   // (kIterationLimit with an x), otherwise the last optimal solve; null when
   // there is neither.
@@ -206,10 +203,6 @@ class RowGenerator {
       out.basis = std::move(basis);
       snapshot_keys = keys_.size();
       seed = &out.basis;
-      if (model_.num_rows() >= kMaxModelRows) {
-        out.stop = RowStop::kRowCap;
-        break;
-      }
       const auto per_group = runtime::parallel_map(
           groups,
           [&](std::size_t i) {

@@ -320,9 +320,11 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   if (cache != nullptr && result.solves > 0) {
     count_seed(*cache, seed_offered, result.warm_installed);
   }
-  // A deadline expiry or failed re-solve falls back to the last optimal
-  // round instead of discarding the whole refinement.
-  if (result.optimal.status != lp::SolveStatus::kOptimal) return {};
+  // Only a fully priced solve keeps every guarantee row. A refinement that
+  // stops early (deadline, round limit, failed solve) returns nothing, and
+  // the caller ships the Benders incumbent, which meets every guaranteed
+  // pair.
+  if (!result.complete()) return {};
   if (cache != nullptr) {
     cache->refine = std::move(result.basis);
     cache->refine_rows.clear();
@@ -331,8 +333,6 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
           {key.guarantee, key.flow, pattern_sig[key.q]});
     }
   }
-  // The last optimal round may predate the current model, but the
-  // allocation variables are the model prefix, so the extraction is valid.
   return extract_policy(problem, alloc, result.optimal);
 }
 
@@ -839,7 +839,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   }
   // Second stage: keep the Phi guarantee when it is SLA-meaningful, and in
   // any case serve whatever else is free to serve (CVaR refinement).
-  const double guarantee = result.upper_bound <= options.guarantee_threshold
+  const double guarantee = result.upper_bound <= kGuaranteeThreshold
                                ? result.upper_bound
                                : 1.0;  // vacuous -> pure CVaR refinement
   if (cache != nullptr && carry_fresh) {

@@ -60,18 +60,19 @@ struct WarmHint {
   std::vector<Pair> active_rows;
 };
 
+// The Benders solve is followed by a CVaR refinement that keeps the
+// quantile guarantee "loss <= Phi*" as hard rows — but only when Phi* is at
+// most this, small enough to be SLA-meaningful. Past it a fairness guarantee
+// of (say) 22% loss for everyone has no operational value, and enforcing it
+// destroys bulk availability; the refinement then runs unconstrained (pure
+// CVaR on the calibrated scenario set).
+inline constexpr double kGuaranteeThreshold = 0.05;
+
 struct MinMaxOptions {
   double beta = 0.99;
   // Benders convergence threshold on UB - LB (Algorithm 2's epsilon).
   double epsilon = 1e-4;
   int max_iterations = 25;
-  // The Benders solve is followed by a CVaR refinement that keeps the
-  // quantile guarantee "loss <= Phi*" as hard rows — but only when Phi* is
-  // small enough to be SLA-meaningful. Past this threshold a fairness
-  // guarantee of (say) 22% loss for everyone has no operational value, and
-  // enforcing it destroys bulk availability; the refinement then runs
-  // unconstrained (pure CVaR on the calibrated scenario set).
-  double guarantee_threshold = 0.05;
   // Passed through to every LP solve inside the decomposition (pricing rule,
   // tolerances). Defaults select devex pricing.
   lp::SimplexOptions simplex;

@@ -263,5 +263,40 @@ TEST(EvaluatorTest, NinesConversion) {
   EXPECT_GT(to_nines(1.0), 11.0);  // clamped, not infinite
 }
 
+// Policy {6, 4, 6, 4} fills links s1->s2 (tunnels 0 + 3) and s1->s3
+// (tunnels 1 + 2) exactly. Losses (flow 0, flow 1) per scenario:
+//   no failure (p 0.90): 0,   0
+//   fiber 0 s1s2 (0.05): 0.6, 0.4   (tunnels 0 and 3 die)
+//   fiber 1 s1s3 (0.03): 0.4, 0.6   (tunnels 1 and 2 die)
+//   fiber 2 s2s3 (0.02): 0.4, 0.4   (tunnels 1 and 3 die)
+ScenarioSet quantile_scenarios(double covered) {
+  ScenarioSet set;
+  set.scenarios = {no_failure(), fail_fiber(0, 0.05), fail_fiber(1, 0.03),
+                   fail_fiber(2, 0.02)};
+  set.scenarios[0].probability = covered - 0.10;
+  set.covered_probability = covered;
+  return set;
+}
+
+TEST(EvaluatorTest, EvaluatePhiIsTheWorstFlowQuantileLoss) {
+  TriangleFixture fx;
+  TePolicy policy;
+  policy.allocation = {6.0, 4.0, 6.0, 4.0};
+  const ScenarioSet set = quantile_scenarios(1.0);
+  // Budget 0.05: flow 0 drops fiber 0 (0.6) and keeps 0.4; flow 1 drops
+  // fiber 1 (0.6) and keeps 0.4.
+  EXPECT_NEAR(evaluate_phi(fx.problem, set, 0.95, policy), 0.4, 1e-12);
+  // Budget 0.03: fiber 0 (mass 0.05) no longer fits, so flow 0 keeps 0.6.
+  EXPECT_NEAR(evaluate_phi(fx.problem, set, 0.97, policy), 0.6, 1e-12);
+  // Budget 0.10: every failure fits, leaving only the lossless scenario.
+  EXPECT_NEAR(evaluate_phi(fx.problem, set, 0.90, policy), 0.0, 1e-12);
+  // No budget at all: the worst loss of any scenario.
+  EXPECT_NEAR(evaluate_phi(fx.problem, set, 1.0, policy), 0.6, 1e-12);
+  // The budget is covered mass - beta: covered 0.98 at beta 0.95 leaves
+  // 0.03, so flow 0 can no longer drop fiber 0.
+  EXPECT_NEAR(evaluate_phi(fx.problem, quantile_scenarios(0.98), 0.95, policy),
+              0.6, 1e-12);
+}
+
 }  // namespace
 }  // namespace prete::te

@@ -1,9 +1,8 @@
-// The row generation every lazily generated TE LP shares: the row
-// cap, the per-round budget and order, the deadline stop, and snapshot
-// replay onto a fresh model prefix.
+// The row generation every lazily generated TE LP shares: pricing to
+// completion whatever the model size, the per-round budget and order, the
+// deadline stop, and snapshot replay onto a fresh model prefix.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <vector>
 
 #include "te/lp_common.h"
@@ -58,19 +57,18 @@ struct ToyLp {
   }
 };
 
-TEST(RowGenerationTest, StopsWithoutPricingAtTheRowCap) {
-  ToyLp lp(kMaxModelRows - 1);
-  ASSERT_EQ(lp.model.num_rows(), kMaxModelRows);
+TEST(RowGenerationTest, LargeModelStillPricesEveryKey) {
+  // 900 prefix rows before the first lazy row: no model size stops the loop
+  // short of pricing.
+  ToyLp lp(899);
+  ASSERT_EQ(lp.model.num_rows(), 900);
   RowGenerator<int> rows = lp.generator();
-  std::atomic<int> priced{0};
-  const auto result =
-      rows.run({}, {}, ToyLp::kKeys,
-               [&](const lp::Solution&, std::size_t,
-                   std::vector<RowCandidate<int>>&) { ++priced; });
-  EXPECT_EQ(result.stop, RowStop::kRowCap);
+  const auto result = rows.run({}, {}, ToyLp::kKeys, lp.pricer(rows));
+  EXPECT_EQ(result.stop, RowStop::kPriced);
   EXPECT_TRUE(result.complete());
-  EXPECT_EQ(result.solves, 1);
-  EXPECT_EQ(priced.load(), 0);
+  EXPECT_EQ(result.solves, 3);
+  EXPECT_EQ(result.keys.size(), static_cast<std::size_t>(ToyLp::kKeys));
+  EXPECT_EQ(lp.model.num_rows(), 900 + ToyLp::kKeys);
   EXPECT_EQ(result.optimal.status, lp::SolveStatus::kOptimal);
 }
 
