@@ -547,8 +547,8 @@ CarrySample run_carry_phase(const bench::Context& ctx,
 }
 
 // Cross-epoch cut bank phase: steady-state TE epochs on the continental
-// workload. Demands are fixed (cut replay requires demand equality) and
-// scaled until the plant is under real capacity pressure — at the base
+// workload. Demands are fixed (so replayed cuts keep their weights unscaled)
+// and scaled until the plant is under real capacity pressure — at the base
 // matrix the Benders solve converges in one iteration with phi = 0 and a
 // warm start has nothing to save. Each epoch one fiber's predicted cut
 // probability drifts, so the regenerated reduced scenario set reorders —
@@ -628,9 +628,9 @@ CutBankSample run_cut_bank_phase(const workload::ContinentalWorkload& w,
 }
 
 // Learned warm-start phase: the hint bank's home regime — drifting demands
-// on the continental workload. Demand drift is exactly where the cut bank
-// and basis cache run out of road (the bank requires demand equality; the
-// cache only re-anchors per-LP bases), but te::HintBank keys its drop-set
+// on the continental workload. Demand drift is where the basis cache runs
+// out of road (it only re-anchors per-LP bases) and where the cut bank must
+// rescale its cuts to the new demands, but te::HintBank keys its drop-set
 // and Phi-row votes by (flow, pattern), which stay stable under small
 // drift. Warm-up epochs record cold solver traces; every gated epoch is
 // then solved twice, cold (the reference) and hinted, and the gate requires
@@ -684,8 +684,8 @@ WarmStartSample run_learned_warm_start_phase(
   WarmStartSample sample;
   for (int e = 0; e < warmup_epochs + gated_epochs; ++e) {
     // Per-epoch demand drift: small enough that the drop-set votes stay
-    // stable across the harvested traces, large enough that a cut bank
-    // keyed on demand equality could replay nothing here.
+    // stable across the harvested traces, large enough that every cut in
+    // a cut bank would need rescaling to the new demands.
     problem.demands = net::scale_traffic(base, 1.0 + 0.004 * e);
     te::MinMaxOptions options;
     options.beta = std::min(0.99, set.covered_probability);

@@ -135,12 +135,8 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
 
 namespace {
 
-// One Benders optimality cut: Phi >= constant + sum_{f,q} weight * delta.
-struct BendersCut {
-  double constant = 0.0;
-  // Sparse weights keyed by (flow, scenario index); all weights <= 0 would
-  // make the cut useless, so only nonzero entries are stored.
-  std::map<std::pair<int, std::size_t>, double> weights;
+// One Benders cut of a running solve, with its provenance.
+struct BendersCut : CutInequality {
   // Bank provenance: index of the CutBank entry this cut was replayed from
   // (-1 for a cut derived by this solve), and whether the cut influenced the
   // solve — attained a per-(f,q) master drop weight that was spent, or the
@@ -151,15 +147,6 @@ struct BendersCut {
   // ordering prior. Excluded from the lower bound AND from cut-bank
   // writeback (a bank cut is at least a valid inequality; this is neither).
   bool steering = false;
-
-  double value(const std::vector<std::vector<char>>& delta) const {
-    double v = constant;
-    for (const auto& [key, w] : weights) {
-      v += w * static_cast<double>(
-                   delta[static_cast<std::size_t>(key.first)][key.second]);
-    }
-    return v;
-  }
 };
 
 // Deterministic total order on distinct bank entries for size-bound
@@ -167,18 +154,7 @@ struct BendersCut {
 // (terms, constant) pairs never coexist in a bank (insertion dedups them),
 // so the order is strict among stored cuts.
 bool cut_lex_less(const CutBank::Cut& a, const CutBank::Cut& b) {
-  const std::size_t n = std::min(a.terms.size(), b.terms.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const CutBank::Term& ta = a.terms[i];
-    const CutBank::Term& tb = b.terms[i];
-    if (ta.flow != tb.flow) return ta.flow < tb.flow;
-    if (ta.pattern != tb.pattern) return ta.pattern < tb.pattern;
-    if (ta.weight != tb.weight) return ta.weight < tb.weight;
-  }
-  if (a.terms.size() != b.terms.size()) {
-    return a.terms.size() < b.terms.size();
-  }
-  return a.constant < b.constant;
+  return std::tie(a.terms, a.constant) < std::tie(b.terms, b.constant);
 }
 
 // Ceiling for steering-cut weights: genuine Phi-row duals sum to at most
@@ -192,19 +168,39 @@ bool cut_lex_less(const CutBank::Cut& a, const CutBank::Cut& b) {
 // duals and costs iterations, not correctness.
 constexpr double kSteerWeightCap = 1.0;
 
-bool same_cut_terms(const std::vector<CutBank::Term>& a,
-                    const std::vector<CutBank::Term>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].flow != b[i].flow || a[i].pattern != b[i].pattern ||
-        a[i].weight != b[i].weight) {
-      return false;
-    }
+}  // namespace
+
+double CutInequality::value(const std::vector<std::vector<char>>& delta) const {
+  double v = constant;
+  for (const auto& [key, w] : weights) {
+    v += w * static_cast<double>(
+                 delta[static_cast<std::size_t>(key.first)][key.second]);
   }
-  return true;
+  return v;
 }
 
-}  // namespace
+std::optional<CutInequality> replay_cut(
+    const CutBank::Cut& cut, const TeProblem& problem,
+    const std::map<std::uint64_t, std::size_t>& sig_to_q) {
+  const std::size_t flows = std::min(
+      {problem.flows->size(), problem.demands.size(), cut.demands.size()});
+  CutInequality out;
+  out.constant = cut.constant;
+  for (const CutBank::Term& term : cut.terms) {
+    if (term.flow < 0 || static_cast<std::size_t>(term.flow) >= flows) {
+      return std::nullopt;
+    }
+    const auto it = sig_to_q.find(term.pattern);
+    if (it == sig_to_q.end()) continue;  // vanished pattern: delta = 0
+    const double scale = std::min(
+        1.0, demand_floor(problem, term.flow) /
+                 std::max(cut.demands[static_cast<std::size_t>(term.flow)],
+                          1e-9));
+    out.weights[{term.flow, it->second}] += term.weight * scale;
+  }
+  if (out.weights.empty()) return std::nullopt;
+  return out;
+}
 
 namespace {
 
@@ -407,13 +403,14 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // ones except the pinned fatal pairs (Algorithm 2 line 2 initializes to
   // ones, which "directly satisfies constraint (5)"; the fatal pins keep
   // (5) satisfied because they fit inside the budget).
-  std::vector<std::vector<char>> delta(
+  std::vector<std::vector<char>> cold_delta(
       flows.size(), std::vector<char>(Q.size(), 1));
   for (std::size_t f = 0; f < flows.size(); ++f) {
     for (std::size_t q = 0; q < Q.size(); ++q) {
-      if (fatal[f][q]) delta[f][q] = 0;
+      if (fatal[f][q]) cold_delta[f][q] = 0;
     }
   }
+  std::vector<std::vector<char>> delta = cold_delta;
 
   MinMaxResult result;
   result.upper_bound = 1.0;
@@ -423,24 +420,12 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   std::vector<BendersCut> cuts;
 
   // ---- Cut-bank replay: seed the master with last epoch's cuts. ----
-  // Stored weights are keyed by pattern signature; re-key them to this
-  // epoch's scenario indices and validate before trusting anything. The
-  // validity rule: a cut replays only when every clamped demand equals the
-  // snapshot it was derived under. Probability changes are always safe —
-  // v(delta) does not depend on them, which is why re-keying by pattern
-  // signature suffices — but ANY demand change drops the cut. A shrunk
-  // demand breaks the inequality outright (v is monotone nondecreasing in
-  // each demand), and although a grown demand keeps the cut a valid lower
-  // bound, its weights stay priced for the old instance: they outrank the
-  // fresh cuts' weights in the greedy master's drop ordering indefinitely,
-  // steering every subsequent delta away from the current optimum (observed
-  // as a warm solve stuck at a wrong master selection while the cold solve
-  // converges). Dropping on any demand change keeps the replayed family
-  // homogeneous with the cuts this run derives.
-  // Terms for vanished patterns are dropped with the constant untouched
-  // (equivalent to fixing their delta to 0 — the cut weakens, stays valid).
-  // The basis cache's row recipes, the warm hint and the trace use the same
-  // pattern keys.
+  // Stored weights are keyed by pattern signature; replay_cut re-keys them
+  // to this epoch's scenario indices and rescales them to this epoch's
+  // demands (see CutBank for why the scaled cut stays valid). Probability
+  // changes need nothing: v(delta) does not depend on them. The basis
+  // cache's row recipes, the warm hint and the trace use the same pattern
+  // keys.
   std::vector<std::uint64_t> pattern_sig;
   std::map<std::uint64_t, std::size_t> sig_to_q;
   if (cache != nullptr || cut_bank != nullptr || options.warm_hint != nullptr ||
@@ -453,39 +438,14 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   }
   if (cut_bank != nullptr) {
     for (std::size_t i = 0; i < cut_bank->cuts.size(); ++i) {
-      const CutBank::Cut& stored = cut_bank->cuts[i];
-      bool valid = stored.demands.size() == problem.demands.size();
-      if (valid) {
-        for (std::size_t f = 0; f < stored.demands.size(); ++f) {
-          // Compare the clamped demands the Phi-rows actually use.
-          if (std::max(problem.demands[f], 1e-9) !=
-              std::max(stored.demands[f], 1e-9)) {
-            valid = false;
-            break;
-          }
-        }
-      }
-      BendersCut cut;
-      cut.constant = stored.constant;
-      cut.bank_index = static_cast<int>(i);
-      if (valid) {
-        for (const CutBank::Term& term : stored.terms) {
-          const auto it = sig_to_q.find(term.pattern);
-          if (it == sig_to_q.end()) continue;  // vanished pattern: delta = 0
-          if (term.flow < 0 ||
-              static_cast<std::size_t>(term.flow) >= delta.size()) {
-            valid = false;
-            break;
-          }
-          cut.weights[{term.flow, it->second}] += term.weight;
-        }
-      }
-      if (!valid || cut.weights.empty()) {
+      std::optional<CutInequality> replayed =
+          replay_cut(cut_bank->cuts[i], problem, sig_to_q);
+      if (!replayed) {
         ++result.cuts_invalidated;
         ++cut_bank->invalidated;
         continue;
       }
-      cuts.push_back(std::move(cut));
+      cuts.push_back(BendersCut{std::move(*replayed), static_cast<int>(i)});
       ++result.cuts_replayed;
       ++cut_bank->replayed;
     }
@@ -634,15 +594,18 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   std::vector<std::pair<int, std::size_t>> carry_keys;
   bool carry_fresh = false;  // `carry` comes from a subproblem of this solve
   const bool seed_offered = cache != nullptr && cache->benders.valid();
-  if (seed_offered) {
-    carry = cache->benders;
-    carry_keys.reserve(cache->benders_rows.size());
+  auto seed_carry = [&]() {
+    carry = seed_offered ? cache->benders : lp::SimplexBasis{};
+    carry_keys.clear();
+    carry_fresh = false;
+    if (!seed_offered) return;
     for (const auto& [flow, pattern] : cache->benders_rows) {
       const auto it = sig_to_q.find(pattern);
       const std::size_t q = it == sig_to_q.end() ? Q.size() : it->second;
       carry_keys.push_back({flow, q});
     }
-  }
+  };
+  seed_carry();
   // The deadline rides inside the simplex options so every LP solve of the
   // decomposition (subproblem rounds, refinement) charges pivots against the
   // same budget; the Benders loop below also checks it per iteration.
@@ -655,7 +618,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       result.deadline_exceeded = true;
       break;  // return the incumbent with the gap reached so far
     }
-    result.iterations = iter + 1;
+    ++result.iterations;
 
     // ---- Subproblem: LP with lazy Phi-rows for delta == 1 pairs. ----
     // Each row is keyed by its (flow, scenario) pair: the dual of every row
@@ -722,7 +685,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
           }
         });
     result.simplex_pivots += sp_result.pivots;
-    if (cache != nullptr && iter == 0 && sp_result.solves > 0) {
+    if (cache != nullptr && result.iterations == 1 && sp_result.solves > 0) {
       count_seed(*cache, seed_offered, sp_result.warm_installed);
     }
     if (sp_result.optimal.status == lp::SolveStatus::kOptimal) {
@@ -785,15 +748,11 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // Replayed cuts are EXCLUDED here even though they are valid: the
     // greedy master's delta does not minimize the cut envelope, so the
     // envelope value only tracks the incumbent when the cuts are the
-    // homogeneous family this run derived. A cut banked under different
-    // demands keeps its support priced for another instance; letting it
-    // into the bound made warm solves latch bound_crossed (and never
-    // report convergence) on epochs where the cold solve converges. Bank
-    // cuts steer the master's drop selection — the actual warm start —
-    // while only this run's own cuts bound it, which restores the cold
-    // solve's crossing semantics exactly.
-    // The warm hint's steering pseudo-cut is excluded for a stronger reason
-    // than bank cuts: it is not an inequality at all, just a drop-ordering
+    // homogeneous family this run derived. Bank cuts steer the master's drop
+    // selection — the actual warm start — while only this run's own cuts
+    // bound it (ROADMAP item 3 lets them in once the master is an envelope
+    // minimiser). The warm hint's steering pseudo-cut is excluded for a
+    // stronger reason: it is not an inequality at all, just a drop-ordering
     // prior carrying predicted (dual-range-clamped) weights.
     const double lb = runtime::parallel_reduce(
         cuts.size(), 0.0,
@@ -817,6 +776,28 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       }
     }
     const bool gap_closed = bounds.update(lb, options.epsilon);
+    // Restart rule: rescaled bank weights stay priced for the demands they
+    // were derived under and can lock the greedy master at a delta where
+    // this run's own cuts read above the incumbent. A crossing while they
+    // steer drops every cut (the steering cut too) and reruns the loop from
+    // the cold start with a full iteration budget: the rerun is the
+    // bankless algorithm.
+    if (bounds.crossed &&
+        std::any_of(cuts.begin(), cuts.end(),
+                    [](const BendersCut& c) { return c.bank_index >= 0; })) {
+      result.bank_restart = true;
+      if (steering_live) result.hint_rejected = 1;
+      steering_live = false;
+      cuts.clear();
+      delta = best_delta = cold_delta;
+      bounds = BendersBounds{};
+      result.policy = TePolicy{};
+      result.phi = result.upper_bound = 1.0;
+      result.lower_bound = 0.0;
+      seed_carry();
+      iter = -1;
+      continue;
+    }
     result.lower_bound = bounds.clamped_lower();
     result.bound_crossed = bounds.crossed;
     if (gap_closed) {
@@ -866,7 +847,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       }
     }
     // Bank this solve's fresh cuts under signature keys with a demand
-    // snapshot (the validity witness for future replays). The steering
+    // snapshot (the scaling witness for future replays). The steering
     // pseudo-cut is not an inequality and must never be banked.
     for (const BendersCut& c : cuts) {
       if (c.bank_index >= 0 || c.steering) continue;
@@ -876,21 +857,17 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       for (const auto& [key, w] : c.weights) {
         stored.terms.push_back({key.first, pattern_sig[key.second], w});
       }
-      std::sort(stored.terms.begin(), stored.terms.end(),
-                [](const CutBank::Term& a, const CutBank::Term& b) {
-                  return std::tie(a.flow, a.pattern, a.weight) <
-                         std::tie(b.flow, b.pattern, b.weight);
-                });
+      std::sort(stored.terms.begin(), stored.terms.end());
       stored.demands = problem.demands;
       stored.last_active = now;
       // A re-derived identical cut refreshes its existing entry instead of
-      // duplicating it. The demand snapshot is replaced with this solve's —
-      // replay requires demand equality, so the freshest derivation is the
-      // witness that keeps the entry replayable next epoch.
+      // duplicating it. The demand snapshot is replaced with this solve's:
+      // the cut's duals are feasible under it, so it is a valid witness for
+      // the next replay's scaling.
       bool duplicate = false;
       for (CutBank::Cut& existing : cut_bank->cuts) {
         if (existing.constant == stored.constant &&
-            same_cut_terms(existing.terms, stored.terms)) {
+            existing.terms == stored.terms) {
           existing.last_active = now;
           existing.demands = stored.demands;
           duplicate = true;

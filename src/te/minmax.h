@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -125,12 +127,16 @@ struct MinMaxResult {
   int bb_nodes = 0;
   // Cut-bank provenance (all zero when no CutBank was passed): how many
   // persisted cuts the solve replayed onto its master before iterating, how
-  // many stored cuts failed the validity check (changed demand, no surviving
-  // pattern) and were dropped, and how many fresh cuts this solve banked for
-  // the next epoch.
+  // many stored cuts failed the validity check (malformed flow id, no
+  // surviving pattern) and were dropped, and how many fresh cuts this solve
+  // banked for the next epoch. `bank_restart` is set when a lower-bound
+  // candidate crossed the incumbent while replayed cuts were in the master:
+  // the solve then dropped every cut and reran from the cold start
+  // (`iterations` and `simplex_pivots` count both runs).
   int cuts_replayed = 0;
   int cuts_invalidated = 0;
   int cuts_banked = 0;
+  bool bank_restart = false;
   // Warm-hint provenance (all zero when MinMaxOptions::warm_hint was null):
   // whether the hint passed verification and was applied, and whether it
   // was rejected (failed verification, or its steered first iteration
@@ -228,22 +234,25 @@ struct BasisCache {
 // demands, capacities, and each scenario's failed-fiber set, never on the
 // probabilities, which enter the master alone.
 //
-// Replay validity is checked, not assumed (see solve_min_max_benders):
+// Replay validity is checked, not assumed (see replay_cut):
 //  - `signature` / `environment` mismatches reset the bank — a different LP
 //    shape, capacity vector, or link->fiber mapping changes v(delta) itself.
-//  - A stored cut replays only when every clamped demand equals its
-//    creation-time snapshot. A shrunk demand breaks the inequality (v is
-//    monotone nondecreasing in each demand, via the 1/d_f Phi-row
-//    coefficients); a grown demand keeps the cut valid but mispriced — its
-//    weights permanently outrank fresh cuts in the greedy master's drop
-//    ordering and steer the warm solve away from the current optimum — so
-//    any demand change drops the cut.
+//  - Demand changes rescale the cut instead of dropping it. A cut is
+//    Phi >= c + sum w_fq delta_fq with c = -sum_e cap_e u_e - v (capacity
+//    and Phi-bound duals), so c holds no demand; demand enters only each
+//    tunnel column's dual row sum_q w_fq alive_tq / d_f <= sum_{e in t} u_e.
+//    Scaling every w_fq of flow f by min(1, d'_f / d_f), with d the cut's
+//    `demands` snapshot, keeps that row (and the Phi row sum w - v <= 1)
+//    feasible under the new demands d', so by weak duality the scaled cut
+//    still bounds v(delta) from below.
 //  - Weight terms whose pattern vanished from the current scenario set are
 //    dropped with the constant untouched, which weakens the cut (treats the
-//    pattern as delta = 0) but keeps it valid.
-// A cut that survives replay is byte-for-byte the inequality the original
-// subproblem proved, so warm solves keep the cold solve's convergence
-// semantics and bit-determinism across PRETE_THREADS.
+//    pattern as delta = 0) but keeps it valid. A cut is invalidated only for
+//    a malformed flow id or when every one of its patterns vanished.
+// Scaled weights are still priced for the demands they were derived under,
+// and the greedy master is not an envelope minimiser, so a replayed bank can
+// steer it into a delta where the solve's own cuts cross the incumbent;
+// solve_min_max_benders then restarts cold (MinMaxResult::bank_restart).
 struct CutBank {
   std::uint64_t signature = 0;   // problem_shape_signature of the cuts' origin
   std::uint64_t environment = 0;  // cut_environment_signature (capacities,
@@ -253,11 +262,14 @@ struct CutBank {
     int flow = 0;
     std::uint64_t pattern = 0;  // scenario_signature of the failed-fiber set
     double weight = 0.0;
+
+    auto operator<=>(const Term&) const = default;  // (flow, pattern, weight)
   };
   struct Cut {
     double constant = 0.0;
     std::vector<Term> terms;      // sorted by (flow, pattern)
-    std::vector<double> demands;  // per-flow demand snapshot at derivation
+    std::vector<double> demands;  // per-flow demand snapshot at derivation:
+                                  // the witness replay_cut scales against
     std::uint64_t last_active = 0;  // bank epoch the cut last influenced a
                                     // solve (master drop or lower bound)
   };
@@ -277,6 +289,23 @@ struct CutBank {
   int inserted = 0;     // fresh cuts banked
   int evicted = 0;      // cuts removed by TTL or the size bound
 };
+
+// A Benders optimality cut over one epoch's scenario indices:
+// Phi >= constant + sum weight * delta[flow][q].
+struct CutInequality {
+  double constant = 0.0;
+  std::map<std::pair<int, std::size_t>, double> weights;  // (flow, q)
+
+  double value(const std::vector<std::vector<char>>& delta) const;
+};
+
+// Replays one banked cut onto `problem` (see CutBank): terms re-keyed to
+// this epoch's scenario indices through `sig_to_q`, each weight scaled by
+// its flow's min(1, d'_f / d_f), vanished patterns dropped. nullopt for a
+// malformed flow id or when no pattern survives.
+std::optional<CutInequality> replay_cut(
+    const CutBank::Cut& cut, const TeProblem& problem,
+    const std::map<std::uint64_t, std::size_t>& sig_to_q);
 
 // Cross-epoch warm-hint votes, owned by the caller next to its BasisCache
 // and CutBank (te::PreTeScheme keeps one per problem shape when
@@ -384,12 +413,15 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
 //
 // `cut_bank` (may be null) carries Benders optimality cuts across calls: on
 // entry every stored cut that passes the validity check (see CutBank) is
-// replayed onto the master before iteration 1, so steady-state epochs
-// converge in fewer iterations; on exit this solve's fresh cuts are banked
-// and idle cuts evicted. Replayed cuts are exact inequalities of the current
-// instance, so convergence, bound semantics, and thread-count bit-identity
-// are preserved; the solve remains a pure function of (inputs, cache state,
-// bank state).
+// replayed, rescaled to the current demands, onto the master before
+// iteration 1, so steady-state epochs converge in fewer iterations; on exit
+// this solve's fresh cuts are banked and idle cuts evicted. Replayed cuts are
+// valid inequalities of the current instance that only steer the master (the
+// lower bound uses this solve's own cuts); a crossing while they steer
+// restarts the solve cold. Steering can still make a warm solve close its
+// gap at a different delta than a cold one, because the greedy master's
+// bound is not a certificate. The solve remains a pure function of (inputs,
+// cache state, bank state), bit-identical at any thread count.
 MinMaxResult solve_min_max_benders(const TeProblem& problem,
                                    const ScenarioSet& scenarios,
                                    const MinMaxOptions& options = {},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 
@@ -17,6 +18,16 @@ DegradationScenario DegradationScenario::none(int num_fibers) {
   s.predicted_prob.assign(static_cast<std::size_t>(num_fibers), 0.0);
   return s;
 }
+
+namespace {
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+}  // namespace
 
 PreTeScheme::PreTeScheme(std::vector<double> static_fiber_probs,
                          PreTeConfig config)
@@ -57,10 +68,23 @@ PreTeScheme::Prepared PreTeScheme::prepare_scenarios(
   // the calibrated probabilities, so hoisting it ahead of the tunnel
   // updates (step 2, which runs in compute_with_prepared) cannot change the
   // result.
+  // The memo is compared bit for bit: sources are pure, so an unchanged
+  // vector (every TE period in which no fiber probability moved) gets the
+  // same set back.
+  {
+    const std::lock_guard<std::mutex> lock(memo_.mutex);
+    if (memo_.scenarios && same_bits(memo_.calibrated, prepared.calibrated)) {
+      prepared.scenarios = *memo_.scenarios;
+      return prepared;
+    }
+  }
   prepared.scenarios = config_.scenario_source
                            ? config_.scenario_source(prepared.calibrated)
                            : generate_failure_scenarios(
                                  prepared.calibrated, config_.scenario_options);
+  const std::lock_guard<std::mutex> lock(memo_.mutex);
+  memo_.calibrated = prepared.calibrated;
+  memo_.scenarios = prepared.scenarios;
   return prepared;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "te/minmax.h"
@@ -39,7 +41,8 @@ struct PreTeConfig {
   // generate_failure_scenarios(calibrated, scenario_options) call, receiving
   // the calibrated per-fiber probabilities — this is how SRLG-correlated
   // models and scenario reduction are wired through the controller and the
-  // Monte Carlo study. Must be deterministic for reproducible runs.
+  // Monte Carlo study. Must be a pure function of the probabilities:
+  // prepare_scenarios reuses the last set for an unchanged vector.
   ScenarioSource scenario_source;
 };
 
@@ -75,21 +78,24 @@ class PreTeScheme {
     MinMaxResult solver_result;
   };
 
-  // The pure front half of an epoch: sanitized predictions, calibrated
+  // The front half of an epoch: sanitized predictions, calibrated
   // per-fiber probabilities (Eqn. 1), and the regenerated believed scenario
   // set. Scenario generation depends only on the calibrated probabilities —
-  // never on the tunnel table — so preparation for epoch t+1 can run
-  // concurrently with epoch t's solve.
+  // never on the tunnel table — and prepare_scenarios is thread-safe, so
+  // preparation for epoch t+1 can run concurrently with epoch t's solve.
   struct Prepared {
     DegradationScenario believed;    // predictions sanitized and clamped
     std::vector<double> calibrated;  // per-fiber probabilities after Eqn. 1
     ScenarioSet scenarios;
   };
 
-  // Builds the Prepared state for a degradation scenario. Const and free of
-  // scheme-state access: safe to call from several threads at once provided
-  // config().scenario_source (when set) is itself thread-safe — every
-  // source in this repo is a pure function of the probability vector.
+  // Builds the Prepared state for a degradation scenario. Thread-safe: the
+  // one piece of scheme state it touches is the scenario memo, behind its
+  // own mutex, so several threads may prepare at once provided
+  // config().scenario_source (when set) is itself thread-safe. Sources must
+  // be pure functions of the probability vector (every source in this repo
+  // is), so a calibrated vector bitwise equal to the last one reuses the
+  // last scenario set without changing any decision.
   Prepared prepare_scenarios(const net::Network& network,
                              const DegradationScenario& degradation) const;
 
@@ -178,6 +184,13 @@ class PreTeScheme {
 
   std::vector<double> static_probs_;
   PreTeConfig config_;
+  // Single-entry scenario memo: the last calibrated vector and its set.
+  struct ScenarioMemo {
+    std::mutex mutex;
+    std::vector<double> calibrated;
+    std::optional<ScenarioSet> scenarios;
+  };
+  mutable ScenarioMemo memo_;
   std::map<std::uint64_t, ShapeState> shape_states_;
   std::uint64_t access_counter_ = 0;
   int evictions_ = 0;

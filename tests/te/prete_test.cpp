@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "net/topology.h"
 #include "te/evaluator.h"
 
@@ -184,6 +188,92 @@ TEST(PreTeTest, ShapeCacheEvictsLeastRecentlyUsedOnOverflow) {
   EXPECT_EQ(stats.shapes, 16);
   EXPECT_EQ(stats.evictions, 2);
   EXPECT_GE(stats.cold_starts, 17 + 1);  // every first solve of a shape + revisit
+}
+
+bool same_set(const ScenarioSet& a, const ScenarioSet& b) {
+  if (a.scenarios.size() != b.scenarios.size() ||
+      a.covered_probability != b.covered_probability ||
+      a.dropped_scenarios != b.dropped_scenarios ||
+      a.residual_probability != b.residual_probability) {
+    return false;
+  }
+  for (std::size_t q = 0; q < a.scenarios.size(); ++q) {
+    if (a.scenarios[q].fiber_failed != b.scenarios[q].fiber_failed ||
+        a.scenarios[q].probability != b.scenarios[q].probability) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// An unchanged calibrated vector reuses the last scenario set: the source
+// runs once for two equal preparations and again once a probability moves.
+TEST(PreTeTest, UnchangedProbabilitiesReuseTheScenarioSet) {
+  const net::Topology topo = net::make_triangle();
+  std::atomic<int> calls{0};
+  PreTeConfig config;
+  config.scenario_source = [&calls](const std::vector<double>& probs) {
+    ++calls;
+    return generate_failure_scenarios(probs);
+  };
+  const PreTeScheme prete({0.02, 0.03, 0.01}, config);
+  const DegradationScenario none = DegradationScenario::none(3);
+  const ScenarioSet first = prete.prepare_scenarios(topo.network, none).scenarios;
+  const ScenarioSet again = prete.prepare_scenarios(topo.network, none).scenarios;
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(same_set(first, again));
+
+  DegradationScenario degraded = none;
+  degraded.degraded[1] = true;
+  degraded.predicted_prob[1] = 0.4;
+  const ScenarioSet moved =
+      prete.prepare_scenarios(topo.network, degraded).scenarios;
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_FALSE(same_set(first, moved));
+  EXPECT_TRUE(same_set(
+      prete.prepare_scenarios(topo.network, none).scenarios, first));
+  EXPECT_EQ(calls.load(), 3);
+}
+
+// Four threads preparing at once, over alternating inputs that keep the
+// memo churning, get exactly the sets a serial run produces.
+TEST(PreTeTest, ConcurrentPreparationsMatchSerial) {
+  const net::Topology topo = net::make_triangle();
+  std::vector<DegradationScenario> inputs;
+  for (int i = 0; i < 4; ++i) {
+    DegradationScenario s = DegradationScenario::none(3);
+    if (i % 2 == 1) {
+      s.degraded[static_cast<std::size_t>(i % 3)] = true;
+      s.predicted_prob[static_cast<std::size_t>(i % 3)] = 0.1 * (i + 1);
+    }
+    inputs.push_back(s);
+  }
+  std::vector<ScenarioSet> serial;
+  {
+    const PreTeScheme prete({0.02, 0.03, 0.01});
+    for (const DegradationScenario& s : inputs) {
+      serial.push_back(prete.prepare_scenarios(topo.network, s).scenarios);
+    }
+  }
+  const PreTeScheme shared({0.02, 0.03, 0.01});
+  std::vector<std::vector<ScenarioSet>> got(inputs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 25; ++round) {
+        const std::size_t i = (t + static_cast<std::size_t>(round)) % inputs.size();
+        got[t].push_back(
+            shared.prepare_scenarios(topo.network, inputs[i]).scenarios);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    for (std::size_t round = 0; round < got[t].size(); ++round) {
+      EXPECT_TRUE(same_set(got[t][round], serial[(t + round) % inputs.size()]))
+          << "thread " << t << " round " << round;
+    }
+  }
 }
 
 }  // namespace
