@@ -1,10 +1,11 @@
 #include "net/paths.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace prete::net {
 
@@ -20,104 +21,167 @@ LinkWeight fiber_length_weight(const Network& net) {
   };
 }
 
-std::optional<Path> shortest_path(
-    const Network& net, NodeId src, NodeId dst, const LinkWeight& weight,
-    const std::function<bool(const Link&)>& usable) {
-  if (src == dst) return Path{};
+namespace {
+
+using HeapEntry = std::pair<double, NodeId>;
+
+// Dijkstra from src to dst over the links `usable` admits, weighted by
+// `weight_of`; writes the path to `out` and returns false when dst is
+// unreachable. The buffers are caller-owned so repeated searches reuse them.
+template <typename WeightOf, typename Usable>
+bool dijkstra(const Network& net, NodeId src, NodeId dst,
+              const WeightOf& weight_of, const Usable& usable,
+              std::vector<double>& dist, std::vector<LinkId>& parent_link,
+              std::vector<HeapEntry>& heap, Path& out) {
+  out.clear();
+  if (src == dst) return true;
   const auto n = static_cast<std::size_t>(net.num_nodes());
-  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-  std::vector<LinkId> parent_link(n, -1);
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist.assign(n, std::numeric_limits<double>::infinity());
+  parent_link.assign(n, -1);
+  heap.clear();
+  const std::greater<> later;
   dist[static_cast<std::size_t>(src)] = 0.0;
-  heap.push({0.0, src});
+  heap.push_back({0.0, src});
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > dist[static_cast<std::size_t>(u)]) continue;
     if (u == dst) break;
     for (LinkId e : net.out_links(u)) {
       const Link& link = net.link(e);
-      if (usable && !usable(link)) continue;
-      const double w = weight(link);
-      if (w < 0) throw std::invalid_argument("negative link weight");
-      const double nd = d + w;
+      if (!usable(link)) continue;
+      const double nd = d + weight_of(link);
       if (nd < dist[static_cast<std::size_t>(link.dst)]) {
         dist[static_cast<std::size_t>(link.dst)] = nd;
         parent_link[static_cast<std::size_t>(link.dst)] = e;
-        heap.push({nd, link.dst});
+        heap.push_back({nd, link.dst});
+        std::push_heap(heap.begin(), heap.end(), later);
       }
     }
   }
-  if (parent_link[static_cast<std::size_t>(dst)] < 0) return std::nullopt;
-  Path path;
+  if (parent_link[static_cast<std::size_t>(dst)] < 0) return false;
   for (NodeId v = dst; v != src;) {
     const LinkId e = parent_link[static_cast<std::size_t>(v)];
-    path.push_back(e);
+    out.push_back(e);
     v = net.link(e).src;
   }
-  std::reverse(path.begin(), path.end());
+  std::reverse(out.begin(), out.end());
+  return true;
+}
+
+}  // namespace
+
+std::optional<Path> shortest_path(
+    const Network& net, NodeId src, NodeId dst, const LinkWeight& weight,
+    const std::function<bool(const Link&)>& usable) {
+  std::vector<double> dist;
+  std::vector<LinkId> parent_link;
+  std::vector<HeapEntry> heap;
+  Path path;
+  const bool found = dijkstra(
+      net, src, dst,
+      [&](const Link& link) {
+        const double w = weight(link);
+        if (w < 0) throw std::invalid_argument("negative link weight");
+        return w;
+      },
+      [&](const Link& link) { return !usable || usable(link); }, dist,
+      parent_link, heap, path);
+  if (!found) return std::nullopt;
   return path;
+}
+
+KShortestPaths::KShortestPaths(const Network& net, NodeId src, NodeId dst,
+                               const LinkWeight& weight)
+    : net_(&net),
+      src_(src),
+      dst_(dst),
+      banned_link_(static_cast<std::size_t>(net.num_links()), 0),
+      banned_node_(static_cast<std::size_t>(net.num_nodes()), 0) {
+  weight_.reserve(static_cast<std::size_t>(net.num_links()));
+  for (const Link& link : net.links()) {
+    const double w = weight(link);
+    if (w < 0) throw std::invalid_argument("negative link weight");
+    weight_.push_back(w);
+  }
+}
+
+const Path* KShortestPaths::path(std::size_t i) {
+  while (paths_.size() <= i) {
+    if (!extend()) return nullptr;
+  }
+  return &paths_[i];
+}
+
+bool KShortestPaths::shortest_unbanned(NodeId from) {
+  return dijkstra(
+      *net_, from, dst_,
+      [&](const Link& link) {
+        return weight_[static_cast<std::size_t>(link.id)];
+      },
+      // The search starts at an unbanned node and enters none, so only a
+      // link's head can be banned.
+      [&](const Link& link) {
+        return !banned_link_[static_cast<std::size_t>(link.id)] &&
+               !banned_node_[static_cast<std::size_t>(link.dst)];
+      },
+      dist_, parent_link_, heap_, spur_);
+}
+
+bool KShortestPaths::extend() {
+  if (exhausted_) return false;
+  if (paths_.empty()) {
+    exhausted_ = !shortest_unbanned(src_);
+    if (!exhausted_) paths_.push_back(spur_);
+    return !exhausted_;
+  }
+  const Path& last = paths_.back();
+  const std::vector<NodeId> last_nodes = path_nodes(*net_, last);
+  // Spur from every node of the previous path.
+  for (std::size_t i = 0; i + 1 < last_nodes.size(); ++i) {
+    const auto root_end = last.begin() + static_cast<long>(i);
+    // Links removed: the next link of any accepted path sharing this root.
+    // Nodes of the root (except the spur node) are banned to keep the path
+    // loop-free; the root grows by one node per spur.
+    auto ban_next_links = [&](char flag) {
+      for (const Path& p : paths_) {
+        if (p.size() > i && std::equal(last.begin(), root_end, p.begin())) {
+          banned_link_[static_cast<std::size_t>(p[i])] = flag;
+        }
+      }
+    };
+    ban_next_links(1);
+    if (i > 0) banned_node_[static_cast<std::size_t>(last_nodes[i - 1])] = 1;
+    const bool found = shortest_unbanned(last_nodes[i]);
+    ban_next_links(0);
+    if (!found) continue;
+    Path candidate(last.begin(), root_end);
+    candidate.insert(candidate.end(), spur_.begin(), spur_.end());
+    if (std::find(paths_.begin(), paths_.end(), candidate) == paths_.end()) {
+      double w = 0.0;
+      for (LinkId e : candidate) w += weight_[static_cast<std::size_t>(e)];
+      candidates_.emplace(w, std::move(candidate));
+    }
+  }
+  for (NodeId v : last_nodes) banned_node_[static_cast<std::size_t>(v)] = 0;
+  if (candidates_.empty()) {
+    exhausted_ = true;
+    return false;
+  }
+  paths_.push_back(std::move(candidates_.extract(candidates_.begin()).value().second));
+  return true;
 }
 
 std::vector<Path> k_shortest_paths(const Network& net, NodeId src, NodeId dst,
                                    int k, const LinkWeight& weight) {
   std::vector<Path> result;
   if (k <= 0) return result;
-  auto first = shortest_path(net, src, dst, weight);
-  if (!first) return result;
-  result.push_back(*first);
-
-  // Candidate set ordered by weight; ties broken by the path itself so the
-  // set is deterministic.
-  auto cmp = [&](const Path& a, const Path& b) {
-    const double wa = path_weight(net, a, weight);
-    const double wb = path_weight(net, b, weight);
-    if (wa != wb) return wa < wb;
-    return a < b;
-  };
-  std::set<Path, decltype(cmp)> candidates(cmp);
-
-  while (static_cast<int>(result.size()) < k) {
-    const Path& last = result.back();
-    const std::vector<NodeId> last_nodes = path_nodes(net, last);
-    // Spur from every node of the previous path.
-    for (std::size_t i = 0; i + 1 < last_nodes.size(); ++i) {
-      const NodeId spur_node = last_nodes[i];
-      const Path root(last.begin(), last.begin() + static_cast<long>(i));
-      const std::vector<NodeId> root_nodes(last_nodes.begin(),
-                                           last_nodes.begin() + static_cast<long>(i) + 1);
-
-      // Links removed: the next link of any accepted path sharing this root.
-      std::set<LinkId> banned_links;
-      for (const Path& p : result) {
-        if (p.size() > i &&
-            std::equal(root.begin(), root.end(), p.begin())) {
-          banned_links.insert(p[i]);
-        }
-      }
-      // Nodes of the root (except the spur node) are banned to keep the
-      // path loop-free.
-      std::set<NodeId> banned_nodes(root_nodes.begin(), root_nodes.end() - 1);
-
-      auto usable = [&](const Link& link) {
-        if (banned_links.count(link.id)) return false;
-        if (banned_nodes.count(link.dst) || banned_nodes.count(link.src)) {
-          return false;
-        }
-        return true;
-      };
-      const auto spur = shortest_path(net, spur_node, dst, weight, usable);
-      if (!spur) continue;
-      Path candidate = root;
-      candidate.insert(candidate.end(), spur->begin(), spur->end());
-      if (std::find(result.begin(), result.end(), candidate) == result.end()) {
-        candidates.insert(std::move(candidate));
-      }
-    }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
+  KShortestPaths ranking(net, src, dst, weight);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
+    const Path* p = ranking.path(i);
+    if (p == nullptr) break;
+    result.push_back(*p);
   }
   return result;
 }

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <functional>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "net/graph.h"
@@ -24,7 +28,51 @@ std::optional<Path> shortest_path(
     const Network& net, NodeId src, NodeId dst, const LinkWeight& weight,
     const std::function<bool(const Link&)>& usable = {});
 
-// Yen's algorithm: up to k loop-free shortest paths in increasing weight.
+// Yen's algorithm as a resumable enumeration: the loop-free src->dst paths
+// in increasing weight (ties broken deterministically), extended only as
+// far as callers ask. Yen's first k paths are a prefix of its first k' > k,
+// so one enumerator serves every k. Link weights are read once, at construction;
+// a negative weight throws std::invalid_argument. Keeps a pointer to `net`,
+// which must outlive the enumerator.
+class KShortestPaths {
+ public:
+  KShortestPaths(const Network& net, NodeId src, NodeId dst,
+                 const LinkWeight& weight);
+
+  // The i-th path of the ranking (0-based), or nullptr when fewer than i + 1
+  // paths exist. References stay valid for the enumerator's lifetime.
+  const Path* path(std::size_t i);
+
+  const Network& network() const { return *net_; }
+  NodeId src() const { return src_; }
+  NodeId dst() const { return dst_; }
+
+ private:
+  // Appends the next path; false once the path space is exhausted.
+  bool extend();
+  // Dijkstra from `from` to dst_ over links not banned; the result goes to
+  // spur_. False when dst_ is unreachable.
+  bool shortest_unbanned(NodeId from);
+
+  const Network* net_;
+  NodeId src_;
+  NodeId dst_;
+  std::vector<double> weight_;  // per link
+  std::deque<Path> paths_;      // accepted, in rank order
+  // Yen's candidate set, keyed by (weight, path) so ties break
+  // deterministically.
+  std::set<std::pair<double, Path>> candidates_;
+  bool exhausted_ = false;
+  // Scratch reused across spur searches.
+  std::vector<char> banned_link_;
+  std::vector<char> banned_node_;
+  std::vector<double> dist_;
+  std::vector<LinkId> parent_link_;
+  std::vector<std::pair<double, NodeId>> heap_;
+  Path spur_;
+};
+
+// Up to k loop-free shortest paths in increasing weight (Yen's algorithm).
 std::vector<Path> k_shortest_paths(const Network& net, NodeId src, NodeId dst,
                                    int k, const LinkWeight& weight);
 

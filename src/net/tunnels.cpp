@@ -47,6 +47,17 @@ void TunnelSet::clear_dynamic() {
   tunnels_ = std::move(kept);
 }
 
+KShortestPaths& TunnelSet::ranked_paths(const Network& net, const Flow& flow) {
+  if (flow.id < 0 || flow.id >= num_flows()) throw std::out_of_range("bad flow id");
+  std::optional<KShortestPaths>& ranking =
+      rankings_[static_cast<std::size_t>(flow.id)];
+  if (!ranking || &ranking->network() != &net || ranking->src() != flow.src ||
+      ranking->dst() != flow.dst) {
+    ranking.emplace(net, flow.src, flow.dst, fiber_length_weight(net));
+  }
+  return *ranking;
+}
+
 TunnelSet build_tunnels(const Network& net, const std::vector<Flow>& flows,
                         const TunnelConfig& config) {
   TunnelSet tunnels(static_cast<int>(flows.size()));

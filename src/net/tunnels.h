@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "net/graph.h"
@@ -31,7 +32,9 @@ struct Tunnel {
 // the paper) plus any dynamically added ones (Y_f^s).
 class TunnelSet {
  public:
-  explicit TunnelSet(int num_flows) : flow_tunnels_(static_cast<std::size_t>(num_flows)) {}
+  explicit TunnelSet(int num_flows)
+      : flow_tunnels_(static_cast<std::size_t>(num_flows)),
+        rankings_(static_cast<std::size_t>(num_flows)) {}
 
   TunnelId add_tunnel(FlowId flow, Path path, bool dynamic = false);
 
@@ -53,12 +56,19 @@ class TunnelSet {
              const std::vector<bool>& fiber_failed) const;
 
   // Drops all dynamic tunnels (used when a degradation clears, §4.2: "the
-  // tunnel is then updated to its original state").
+  // tunnel is then updated to its original state"). Keeps the path rankings.
   void clear_dynamic();
+
+  // Yen's ranking of `flow`'s paths in `net` by fiber length, built on first
+  // use and kept for the set's lifetime: the ranking depends only on the
+  // network and the flow's endpoints, so every degradation reuses it. A
+  // request naming another network or other endpoints rebuilds it.
+  KShortestPaths& ranked_paths(const Network& net, const Flow& flow);
 
  private:
   std::vector<Tunnel> tunnels_;
   std::vector<std::vector<TunnelId>> flow_tunnels_;
+  std::vector<std::optional<KShortestPaths>> rankings_;  // per flow
 };
 
 struct TunnelConfig {

@@ -21,9 +21,7 @@ TunnelUpdateResult update_tunnels_for_degradation(
   for (const net::Flow& flow : flows) {
     // Step 2: Lambda = number of this flow's tunnels traversing the fiber.
     int lambda = 0;
-    std::vector<net::Path> existing;
     for (net::TunnelId t : tunnels.tunnels_for_flow(flow.id)) {
-      existing.push_back(tunnels.tunnel(t).path);
       if (tunnels.uses_fiber(network, t, degraded_fiber)) ++lambda;
     }
     if (lambda == 0) continue;
@@ -35,40 +33,34 @@ TunnelUpdateResult update_tunnels_for_degradation(
         static_cast<int>(std::ceil(config.ratio * static_cast<double>(lambda))));
     if (want <= 0) continue;
 
-    // Establish new tunnels from G': k-shortest paths avoiding the fiber,
-    // skipping paths the flow already has.
+    // Establish new tunnels from G', skipping paths the flow already has.
+    const std::vector<net::TunnelId>& own = tunnels.tunnels_for_flow(flow.id);
+    const std::size_t existing = own.size();
     int created = 0;
     auto admit = [&](const net::Path& p) {
       if (net::path_uses_fiber(network, p, degraded_fiber)) return;
-      if (std::find(existing.begin(), existing.end(), p) != existing.end()) {
-        return;
+      for (net::TunnelId t : own) {
+        if (tunnels.tunnel(t).path == p) return;
       }
       result.created.push_back(tunnels.add_tunnel(flow.id, p, /*dynamic=*/true));
-      existing.push_back(p);
       ++created;
     };
-    // The Yen budget also counts candidates that traverse the degraded fiber
-    // (Yen ranks on the full graph; the filter is applied afterwards), so a
-    // single query of `want + existing` paths under-provisions whenever the
-    // flow's short paths cluster on that fiber. Grow the budget until `want`
-    // survivors are admitted or Yen exhausts the path space.
-    constexpr int kMaxYenBudget = 64;
-    int budget = want + static_cast<int>(existing.size());
-    for (;;) {
-      const auto candidates = net::k_shortest_paths(
-          network, flow.src, flow.dst, budget,
-          [&](const net::Link& l) { return weight(l); });
-      for (const net::Path& p : candidates) {
-        if (created >= want) break;
-        admit(p);
-      }
-      if (created >= want || budget >= kMaxYenBudget ||
-          static_cast<int>(candidates.size()) < budget) {
-        break;  // satisfied, budget cap, or no more paths to rank
-      }
-      // Already-admitted paths sit in `existing`, so re-scanning the larger
-      // candidate list only admits new survivors.
-      budget = std::min(kMaxYenBudget, budget * 2);
+    // Walk the flow's Yen ranking on the full graph (kept by the tunnel
+    // set: it does not depend on which fiber degraded), admitting paths
+    // that avoid the fiber until `want` are admitted. The walk stops after
+    // kMaxYenBudget paths, or want + existing if that is larger, and the
+    // penalty fallback below covers the deficit. The cap and the fallback
+    // decide which detours a flow gets: when the top-ranked paths hold too
+    // few survivors, the fallback's penalised routes are admitted, not the
+    // next survivors of a longer walk or of a ranking on G' itself.
+    constexpr std::size_t kMaxYenBudget = 64;
+    net::KShortestPaths& ranking = tunnels.ranked_paths(network, flow);
+    const std::size_t budget =
+        std::max(kMaxYenBudget, static_cast<std::size_t>(want) + existing);
+    for (std::size_t i = 0; i < budget && created < want; ++i) {
+      const net::Path* p = ranking.path(i);
+      if (p == nullptr) break;  // Yen exhausted the path space
+      admit(*p);
     }
     if (created < want) {
       // Fall back to shortest paths computed directly on G'. Looped over the

@@ -32,7 +32,8 @@ struct TunnelUpdateResult {
 // Algorithm 1: for every flow with tunnels traversing the degraded fiber,
 // establish new tunnels routed on the graph with that fiber removed, so the
 // new paths are disjoint from the degraded fiber. Mutates `tunnels` by
-// appending dynamic tunnels (Y^s in the paper).
+// appending dynamic tunnels (Y^s in the paper) and by extending the path
+// rankings it keeps for the affected flows.
 TunnelUpdateResult update_tunnels_for_degradation(
     const net::Network& network, const std::vector<net::Flow>& flows,
     net::TunnelSet& tunnels, net::FiberId degraded_fiber,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "net/topology.h"
 
@@ -124,9 +127,94 @@ TEST(PathNodesTest, EnumeratesVisitedNodes) {
 
 TEST(NegativeWeightTest, Throws) {
   const Network net = make_diamond();
-  EXPECT_THROW(
-      shortest_path(net, 0, 3, [](const Link&) { return -1.0; }),
-      std::invalid_argument);
+  const LinkWeight negative = [](const Link&) { return -1.0; };
+  EXPECT_THROW(shortest_path(net, 0, 3, negative), std::invalid_argument);
+  EXPECT_THROW(k_shortest_paths(net, 0, 3, 3, negative), std::invalid_argument);
+  EXPECT_THROW(KShortestPaths(net, 0, 3, negative), std::invalid_argument);
+}
+
+// Resuming one enumerator must give, for every k, exactly the list a
+// from-scratch k_shortest_paths call returns.
+TEST(KShortestPathsTest, ResumedRankingMatchesFromScratchOnB4) {
+  const Topology topo = make_b4();
+  const Network& net = topo.network;
+  const LinkWeight weight = fiber_length_weight(net);
+  constexpr int kMax = 64;
+  for (NodeId src = 0; src < net.num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < net.num_nodes(); ++dst) {
+      if (src == dst) continue;
+      KShortestPaths ranking(net, src, dst, weight);
+      std::vector<Path> resumed;
+      for (int k = 1; k <= kMax; ++k) {
+        const Path* p = ranking.path(static_cast<std::size_t>(k - 1));
+        if (p != nullptr) resumed.push_back(*p);
+        ASSERT_EQ(k_shortest_paths(net, src, dst, k, weight), resumed)
+            << src << "->" << dst << " k=" << k;
+        if (p == nullptr) break;
+      }
+      ASSERT_FALSE(resumed.empty());
+    }
+  }
+}
+
+// Every simple src->dst path by depth-first search, sorted by
+// (weight, path): the order the enumerator must reproduce.
+std::vector<Path> all_simple_paths_sorted(const Network& net, NodeId src,
+                                          NodeId dst,
+                                          const LinkWeight& weight) {
+  std::vector<Path> found;
+  Path path;
+  std::vector<bool> on_path(static_cast<std::size_t>(net.num_nodes()), false);
+  auto dfs = [&](auto&& self, NodeId u) -> void {
+    if (u == dst) {
+      found.push_back(path);
+      return;
+    }
+    on_path[static_cast<std::size_t>(u)] = true;
+    for (LinkId e : net.out_links(u)) {
+      const NodeId v = net.link(e).dst;
+      if (on_path[static_cast<std::size_t>(v)]) continue;
+      path.push_back(e);
+      self(self, v);
+      path.pop_back();
+    }
+    on_path[static_cast<std::size_t>(u)] = false;
+  };
+  dfs(dfs, src);
+  std::sort(found.begin(), found.end(), [&](const Path& a, const Path& b) {
+    const double wa = path_weight(net, a, weight);
+    const double wb = path_weight(net, b, weight);
+    if (wa != wb) return wa < wb;
+    return a < b;
+  });
+  return found;
+}
+
+TEST(KShortestPathsTest, RankingMatchesBruteForceOnSmallTopologies) {
+  const Network diamond = make_diamond();
+  const Topology triangle = make_triangle();
+  const Topology four_site = make_four_site();
+  for (const Network* net :
+       {&diamond, &triangle.network, &four_site.network}) {
+    const LinkWeight weight = fiber_length_weight(*net);
+    for (NodeId src = 0; src < net->num_nodes(); ++src) {
+      for (NodeId dst = 0; dst < net->num_nodes(); ++dst) {
+        if (src == dst) continue;
+        const std::vector<Path> expected =
+            all_simple_paths_sorted(*net, src, dst, weight);
+        KShortestPaths ranking(*net, src, dst, weight);
+        std::vector<Path> ranked;
+        // One past the expected count, so a ranking that never ends fails.
+        for (std::size_t i = 0; i <= expected.size(); ++i) {
+          const Path* p = ranking.path(i);
+          if (p == nullptr) break;
+          ranked.push_back(*p);
+        }
+        EXPECT_EQ(ranked, expected)
+            << net->name() << " " << src << "->" << dst;
+      }
+    }
+  }
 }
 
 // Property: on every stock topology, k-shortest paths are valid, loop-free,

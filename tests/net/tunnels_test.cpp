@@ -48,6 +48,24 @@ TEST(TunnelSetTest, ClearDynamicKeepsStaticAndReindexes) {
   }
 }
 
+TEST(TunnelSetTest, RankedPathsAreKeptPerFlowAndEndpoints) {
+  const Topology topo = make_triangle();
+  TunnelSet ts(2);
+  KShortestPaths& first = ts.ranked_paths(topo.network, topo.flows[0]);
+  ASSERT_NE(first.path(0), nullptr);
+  EXPECT_EQ(*first.path(0), Path{0});  // s1->s2 direct
+  ts.clear_dynamic();
+  EXPECT_EQ(&ts.ranked_paths(topo.network, topo.flows[0]), &first);
+  // Other endpoints under the same flow id get their own ranking.
+  const Flow reversed{0, topo.flows[0].dst, topo.flows[0].src, 1.0};
+  KShortestPaths& back = ts.ranked_paths(topo.network, reversed);
+  EXPECT_EQ(back.src(), reversed.src);
+  ASSERT_NE(back.path(0), nullptr);
+  EXPECT_EQ(*back.path(0), Path{1});  // s2->s1 direct
+  EXPECT_THROW(ts.ranked_paths(topo.network, {5, 0, 1, 1.0}),
+               std::out_of_range);
+}
+
 TEST(BuildTunnelsTest, TrianglePerFlowCounts) {
   const Topology topo = make_triangle();
   const TunnelSet ts = build_tunnels(topo.network, topo.flows,

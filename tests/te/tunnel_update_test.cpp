@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/paths.h"
 #include "net/topology.h"
 
@@ -107,7 +110,7 @@ TEST(TunnelUpdateTest, MaxNewTunnelsCapEnforced) {
   for (net::TunnelId t : result.created) {
     ++per_flow[static_cast<std::size_t>(tunnels.tunnel(t).flow)];
   }
-  for (int count : per_flow) EXPECT_LE(count, 3);  // cap + 1 fallback path
+  for (int count : per_flow) EXPECT_LE(count, config.max_new_tunnels_per_flow);
 }
 
 // A topology engineered so every short s->t path crosses the degraded fiber
@@ -153,9 +156,9 @@ FunnelTopology make_funnel(int num_z) {
 
 TEST(TunnelUpdateTest, TopsUpWhenShortPathsClusterOnDegradedFiber) {
   // Regression: the flow holds 3 tunnels, all over fiber 0, and the 6
-  // shortest s->t paths ALL cross fiber 0 — a fixed Yen budget of
-  // want + existing admits nothing. The update must keep widening the
-  // search until the 3 long detours are found, leaving no shortfall.
+  // shortest s->t paths ALL cross fiber 0, so the first want + existing
+  // ranked paths admit nothing. The update must walk further down the
+  // flow's ranking to the 3 long detours, leaving no shortfall.
   FunnelTopology f = make_funnel(/*num_z=*/3);
   net::TunnelSet tunnels(1);
   for (int i = 0; i < 3; ++i) tunnels.add_tunnel(0, f.through_paths[static_cast<std::size_t>(i)]);
@@ -170,6 +173,53 @@ TEST(TunnelUpdateTest, TopsUpWhenShortPathsClusterOnDegradedFiber) {
   }
 }
 
+TEST(TunnelUpdateTest, CappedWalkFallsBackToPenalisedDetours) {
+  // s-m (fiber 0) leads to t directly and via 64 nodes y_i, so the flow's
+  // 65 shortest paths all cross fiber 0 and the 64-path walk admits
+  // nothing. On G' the detours are s-a-t (22), s-a-b-t (24) and s-c-t
+  // (62). The penalty fallback takes s-a-t, then avoids its now-penalised
+  // links and takes s-c-t; walking the ranking further would have taken
+  // s-a-b-t second. The cap and the fallback decide which detours a flow
+  // gets.
+  net::Topology topo;
+  net::Network& n = topo.network;
+  const net::NodeId s = n.add_node("s");
+  const net::NodeId m = n.add_node("m");
+  const net::NodeId t = n.add_node("t");
+  const net::NodeId a = n.add_node("a");
+  const net::NodeId b = n.add_node("b");
+  const net::NodeId c = n.add_node("c");
+  auto link = [&](net::NodeId u, net::NodeId v, double len) {
+    return n.add_ip_link_pair(n.add_fiber(u, v, len), 100.0);
+  };
+  const net::LinkId sm = link(s, m, 1.0);  // fiber 0
+  const net::LinkId mt = link(m, t, 1.0);
+  net::Path via_y0;
+  for (int i = 0; i < 64; ++i) {
+    const net::NodeId y = n.add_node();
+    const net::LinkId my = link(m, y, 1.0);
+    const net::LinkId yt = link(y, t, 1.0);
+    if (i == 0) via_y0 = {sm, my, yt};
+  }
+  const net::LinkId sa = link(s, a, 10.0);
+  const net::LinkId at = link(a, t, 10.0);
+  link(a, b, 1.0);
+  link(b, t, 10.0);
+  const net::LinkId sc = link(s, c, 30.0);
+  const net::LinkId ct = link(c, t, 30.0);
+  topo.flows.push_back({0, s, t, 10.0});
+
+  net::TunnelSet tunnels(1);
+  tunnels.add_tunnel(0, {sm, mt});
+  tunnels.add_tunnel(0, via_y0);
+  const auto result = update_tunnels_for_degradation(
+      topo.network, topo.flows, tunnels, /*degraded_fiber=*/0);
+  ASSERT_EQ(result.created.size(), 2u);
+  EXPECT_EQ(tunnels.tunnel(result.created[0]).path, (net::Path{sa, at}));
+  EXPECT_EQ(tunnels.tunnel(result.created[1]).path, (net::Path{sc, ct}));
+  EXPECT_EQ(result.shortfall, 0);
+}
+
 TEST(TunnelUpdateTest, GenuineShortfallIsReported) {
   // Same funnel but only ONE fiber-0-avoiding route exists: the update
   // should create it and report the remaining deficit instead of silently
@@ -182,6 +232,39 @@ TEST(TunnelUpdateTest, GenuineShortfallIsReported) {
       f.topo.network, f.topo.flows, tunnels, /*degraded_fiber=*/0);
   EXPECT_EQ(result.created.size(), 1u);
   EXPECT_EQ(result.shortfall, 2);
+}
+
+// The tunnel set keeps each flow's path ranking across updates and
+// clear_dynamic(). A long-lived set must create, at every step, exactly the
+// tunnels (paths and ids) a freshly built set creates; so must a copy of a
+// warmed set.
+TEST(TunnelUpdateTest, KeptRankingsCreateWhatAFreshSetCreates) {
+  const net::Topology topo = net::make_b4();
+  auto created_paths = [](const net::TunnelSet& tunnels,
+                          const TunnelUpdateResult& r) {
+    std::vector<std::pair<net::TunnelId, net::Path>> out;
+    for (net::TunnelId t : r.created) out.emplace_back(t, tunnels.tunnel(t).path);
+    return out;
+  };
+  auto drive = [&](net::TunnelSet& kept) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (net::FiberId f = 0; f < topo.network.num_fibers(); ++f) {
+        net::TunnelSet fresh = net::build_tunnels(topo.network, topo.flows);
+        const auto expected = update_tunnels_for_degradation(
+            topo.network, topo.flows, fresh, f);
+        const auto got = update_tunnels_for_degradation(
+            topo.network, topo.flows, kept, f);
+        EXPECT_EQ(created_paths(kept, got), created_paths(fresh, expected))
+            << "pass " << pass << " fiber " << f;
+        EXPECT_EQ(got.shortfall, expected.shortfall);
+        kept.clear_dynamic();
+      }
+    }
+  };
+  net::TunnelSet kept = net::build_tunnels(topo.network, topo.flows);
+  drive(kept);
+  net::TunnelSet copy = kept;
+  drive(copy);
 }
 
 TEST(TunnelUpdateTest, NoDuplicateTunnels) {
