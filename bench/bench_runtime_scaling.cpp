@@ -627,100 +627,6 @@ CutBankSample run_cut_bank_phase(const workload::ContinentalWorkload& w,
   return sample;
 }
 
-// Learned warm-start phase: the hint bank's home regime — drifting demands
-// on the continental workload. Demand drift is where the basis cache runs
-// out of road (it only re-anchors per-LP bases) and where the cut bank must
-// rescale its cuts to the new demands, but te::HintBank keys its drop-set
-// and Phi-row votes by (flow, pattern), which stay stable under small
-// drift. Warm-up epochs record cold solver traces; every gated epoch is
-// then solved twice, cold (the reference) and hinted, and the gate requires
-// every hint verified-accepted, a >= 2x total pivot reduction over the
-// gated tail, and every converged objective bitwise equal to cold.
-struct WarmStartSample {
-  int cold_tail_iterations = 0;
-  int hinted_tail_iterations = 0;
-  int cold_tail_pivots = 0;
-  int hinted_tail_pivots = 0;
-  int epochs_gated = 0;
-  int hints_accepted = 0;
-  int hints_rejected = 0;
-  bool all_converged = true;
-  bool objectives_bitwise_equal = true;
-  double phi_checksum = 0.0;
-  bool operator==(const WarmStartSample& o) const {
-    return cold_tail_iterations == o.cold_tail_iterations &&
-           hinted_tail_iterations == o.hinted_tail_iterations &&
-           cold_tail_pivots == o.cold_tail_pivots &&
-           hinted_tail_pivots == o.hinted_tail_pivots &&
-           epochs_gated == o.epochs_gated &&
-           hints_accepted == o.hints_accepted &&
-           hints_rejected == o.hints_rejected &&
-           all_converged == o.all_converged &&
-           objectives_bitwise_equal == o.objectives_bitwise_equal &&
-           phi_checksum == o.phi_checksum;
-  }
-};
-
-WarmStartSample run_learned_warm_start_phase(
-    const workload::ContinentalWorkload& w,
-    const workload::ContinentalConfig& config, const net::TunnelSet& tunnels,
-    int warmup_epochs, int gated_epochs) {
-  te::TeProblem problem;
-  problem.network = &w.topology.network;
-  problem.flows = &w.topology.flows;
-  problem.tunnels = &tunnels;
-  // Same pressure scaling and trimmed reduction as the cut-bank phase: at
-  // the base matrix the solve converges in one iteration and a warm start
-  // has nothing to save.
-  const net::TrafficMatrix base = net::scale_traffic(w.matrices.front(), 8.0);
-  te::ReductionOptions reduction = config.reduction;
-  reduction.max_scenarios = 600;
-  const te::ScenarioSource source = workload::make_scenario_source(
-      w.failure_model, config.scenario_gen, reduction);
-  const te::ScenarioSet set = source(w.cut_probs);
-
-  const std::uint64_t signature = te::problem_shape_signature(problem);
-  te::HintBank bank;
-  WarmStartSample sample;
-  for (int e = 0; e < warmup_epochs + gated_epochs; ++e) {
-    // Per-epoch demand drift: small enough that the drop-set votes stay
-    // stable across the harvested traces, large enough that every cut in
-    // a cut bank would need rescaling to the new demands.
-    problem.demands = net::scale_traffic(base, 1.0 + 0.004 * e);
-    te::MinMaxOptions options;
-    options.beta = std::min(0.99, set.covered_probability);
-    options.collect_trace = true;
-    // Tracing is pure reporting (warm_hint_test pins traced == untraced to
-    // the bit), so this cold solve doubles as the gate reference.
-    const te::MinMaxResult cold =
-        te::solve_min_max_benders(problem, set, options);
-    sample.all_converged = sample.all_converged && cold.converged;
-    if (e >= warmup_epochs) {
-      const auto hint = bank.hint(signature);
-      te::MinMaxOptions hinted_options;
-      hinted_options.beta = options.beta;
-      hinted_options.warm_hint = hint ? &*hint : nullptr;
-      const te::MinMaxResult hinted =
-          te::solve_min_max_benders(problem, set, hinted_options);
-      ++sample.epochs_gated;
-      sample.cold_tail_iterations += cold.iterations;
-      sample.hinted_tail_iterations += hinted.iterations;
-      sample.cold_tail_pivots += cold.simplex_pivots;
-      sample.hinted_tail_pivots += hinted.simplex_pivots;
-      sample.hints_accepted += hinted.hint_accepted;
-      sample.hints_rejected += hinted.hint_rejected;
-      sample.all_converged = sample.all_converged && hinted.converged;
-      sample.objectives_bitwise_equal =
-          sample.objectives_bitwise_equal && hinted.phi == cold.phi;
-      sample.phi_checksum += cold.phi;
-    }
-    // Recording continues through the gated tail so the votes keep
-    // tracking the drift.
-    bank.record(signature, cold);
-  }
-  return sample;
-}
-
 // Fault-campaign phase: the deterministic robustness harness end to end —
 // the controller driven through injected telemetry corruption, predictor
 // faults, and starved solver budgets. The decision digest doubles as the
@@ -877,7 +783,6 @@ int main(int argc, char** argv) {
   BnbSample serial_bnb, parallel_bnb;
   CarrySample serial_carry, parallel_carry;
   CutBankSample serial_cut_bank, parallel_cut_bank;
-  WarmStartSample serial_warm_start, parallel_warm_start;
   core::FaultCampaignReport serial_campaign, parallel_campaign;
   EpochPipelineSample serial_epoch, parallel_epoch;
   double t_serial_static = 0, t_parallel_static = 0;
@@ -888,7 +793,6 @@ int main(int argc, char** argv) {
   double t_serial_bnb = 0, t_parallel_bnb = 0;
   double t_serial_carry = 0, t_parallel_carry = 0;
   double t_serial_cut_bank = 0, t_parallel_cut_bank = 0;
-  double t_serial_warm_start = 0, t_parallel_warm_start = 0;
   double t_serial_campaign = 0, t_parallel_campaign = 0;
   const int pricing_instances = bench::fast_mode() ? 3 : 6;
   const int pipeline_iterations = bench::fast_mode() ? 4 : 10;
@@ -898,8 +802,6 @@ int main(int argc, char** argv) {
   const int bnb_repeats = bench::fast_mode() ? 4 : 12;
   const int carry_epochs = bench::fast_mode() ? 3 : 5;
   const int cut_bank_epochs = bench::fast_mode() ? 2 : 3;
-  const int warm_start_warmup = 3;
-  const int warm_start_gated = bench::fast_mode() ? 2 : 3;
   const int campaign_steps = bench::fast_mode() ? 96 : 256;
   const int pipeline_epochs = bench::fast_mode() ? 8 : 16;
 
@@ -967,13 +869,6 @@ int main(int argc, char** argv) {
     serial_cut_bank = run_cut_bank_phase(continental, continental_config,
                                          continental_tunnels, cut_bank_epochs);
     t_serial_cut_bank = phase.seconds();
-  }
-  {
-    bench::Phase phase("learned_warm_start serial");
-    serial_warm_start = run_learned_warm_start_phase(
-        continental, continental_config, continental_tunnels,
-        warm_start_warmup, warm_start_gated);
-    t_serial_warm_start = phase.seconds();
   }
   {
     bench::Phase phase("fault_campaign serial");
@@ -1046,13 +941,6 @@ int main(int argc, char** argv) {
     t_parallel_cut_bank = phase.seconds();
   }
   {
-    bench::Phase phase("learned_warm_start parallel");
-    parallel_warm_start = run_learned_warm_start_phase(
-        continental, continental_config, continental_tunnels,
-        warm_start_warmup, warm_start_gated);
-    t_parallel_warm_start = phase.seconds();
-  }
-  {
     bench::Phase phase("fault_campaign parallel");
     parallel_campaign =
         run_campaign_phase(ctx, ctx.base_demands, campaign_steps);
@@ -1102,9 +990,6 @@ int main(int argc, char** argv) {
   add_solver_rows("cut_bank", t_serial_cut_bank, t_parallel_cut_bank,
                   serial_cut_bank.warm_tail_pivots,
                   parallel_cut_bank.warm_tail_pivots);
-  add_solver_rows("learned_warm_start", t_serial_warm_start,
-                  t_parallel_warm_start, serial_warm_start.hinted_tail_pivots,
-                  parallel_warm_start.hinted_tail_pivots);
   table.add_row({"fault_campaign", "1",
                  util::Table::format(t_serial_campaign, 2),
                  std::to_string(serial_campaign.faults_injected) + " faults"});
@@ -1166,11 +1051,6 @@ int main(int argc, char** argv) {
                     std::to_string(serial_cut_bank.cold_tail_pivots)});
   lp_table.add_row({"cut_bank", "replayed tail", "",
                     std::to_string(serial_cut_bank.warm_tail_pivots)});
-  lp_table.add_row({"learned_warm_start", "cold tail",
-                    util::Table::format(t_serial_warm_start, 2),
-                    std::to_string(serial_warm_start.cold_tail_pivots)});
-  lp_table.add_row({"learned_warm_start", "hinted tail", "",
-                    std::to_string(serial_warm_start.hinted_tail_pivots)});
   lp_table.add_row({"lp_kernel", "dense + full pricing",
                     util::Table::format(serial_kernel.dense_seconds, 3),
                     std::to_string(serial_kernel.dense_pivots)});
@@ -1227,16 +1107,6 @@ int main(int argc, char** argv) {
             << serial_cut_bank.cuts_banked << "), objectives bitwise equal: "
             << (serial_cut_bank.objectives_bitwise_equal ? "yes" : "NO")
             << "\n";
-  std::cout << "learned_warm_start gated pivots: cold "
-            << serial_warm_start.cold_tail_pivots << " vs hinted "
-            << serial_warm_start.hinted_tail_pivots << " (accepted "
-            << serial_warm_start.hints_accepted << "/"
-            << serial_warm_start.epochs_gated << ", rejected "
-            << serial_warm_start.hints_rejected
-            << "), objectives bitwise equal: "
-            << (serial_warm_start.objectives_bitwise_equal ? "yes" : "NO")
-            << "\n";
-
   const bool identical =
       serial_static.mean_flow_availability ==
           parallel_static.mean_flow_availability &&
@@ -1253,7 +1123,6 @@ int main(int argc, char** argv) {
       serial_lu_anchor == parallel_lu_anchor && serial_bnb == parallel_bnb &&
       serial_carry == parallel_carry &&
       serial_cut_bank == parallel_cut_bank &&
-      serial_warm_start == parallel_warm_start &&
       serial_campaign.decision_digest == parallel_campaign.decision_digest &&
       serial_campaign.faults_injected == parallel_campaign.faults_injected &&
       serial_campaign.rung_count == parallel_campaign.rung_count &&
@@ -1290,22 +1159,6 @@ int main(int argc, char** argv) {
   if (!cut_bank_ok) {
     std::cout << "cut_bank gate FAILED (no iteration/pivot reduction, nothing "
                  "replayed, or objective mismatch)\n";
-  }
-  // The headline hint gate: on the drifting tail every voted hint must
-  // survive verification (accepted, never discarded as worse-than-cold), the
-  // hinted solves must spend at most half the cold pivots in total, and
-  // every converged objective must agree with the cold reference to the bit.
-  const bool warm_start_ok =
-      serial_warm_start.all_converged &&
-      serial_warm_start.objectives_bitwise_equal &&
-      serial_warm_start.epochs_gated > 0 &&
-      serial_warm_start.hints_accepted == serial_warm_start.epochs_gated &&
-      serial_warm_start.hints_rejected == 0 &&
-      2 * serial_warm_start.hinted_tail_pivots <=
-          serial_warm_start.cold_tail_pivots;
-  if (!warm_start_ok) {
-    std::cout << "learned_warm_start gate FAILED (hint rejected, under 2x "
-                 "pivot reduction, or objective mismatch)\n";
   }
   const bool campaign_ok = serial_campaign.clean() &&
                            serial_campaign.every_rung_exercised() &&
@@ -1427,28 +1280,6 @@ int main(int argc, char** argv) {
          << "}\n}\n";
   }
   {
-    std::ofstream json("BENCH_learned_warm_start.json");
-    json << "{\n";
-    bench::json_stamp(json);
-    json << "  \"warmup_epochs\": " << warm_start_warmup
-         << ", \"gated_epochs\": " << serial_warm_start.epochs_gated
-         << ", \"seconds\": " << t_serial_warm_start << ",\n"
-         << "  \"cold\": {\"iterations\": "
-         << serial_warm_start.cold_tail_iterations
-         << ", \"pivots\": " << serial_warm_start.cold_tail_pivots << "},\n"
-         << "  \"hinted\": {\"iterations\": "
-         << serial_warm_start.hinted_tail_iterations
-         << ", \"pivots\": " << serial_warm_start.hinted_tail_pivots
-         << ", \"hints_accepted\": " << serial_warm_start.hints_accepted
-         << ", \"hints_rejected\": " << serial_warm_start.hints_rejected
-         << "},\n"
-         << "  \"objectives_bitwise_equal\": "
-         << (serial_warm_start.objectives_bitwise_equal ? "true" : "false")
-         << ",\n"
-         << "  \"gates\": {\"warm_start_ok\": "
-         << (warm_start_ok ? "true" : "false") << "}\n}\n";
-  }
-  {
     std::ofstream json("BENCH_epoch_pipeline.json");
     json << "{\n";
     bench::json_stamp(json);
@@ -1489,8 +1320,7 @@ int main(int argc, char** argv) {
                                    2)
             << "x on " << parallel_threads << " threads\n";
   return identical && pricing_ok && carry_ok && campaign_ok && kernel_ok &&
-                 lu_anchor_ok && cut_bank_ok && warm_start_ok &&
-                 epoch_pipeline_ok
+                 lu_anchor_ok && cut_bank_ok && epoch_pipeline_ok
              ? 0
              : 1;
 }

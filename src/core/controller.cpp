@@ -163,8 +163,6 @@ ControlDecision Controller::run_pipeline(
     decision.cuts_replayed = outcome.solver_result.cuts_replayed;
     decision.cuts_invalidated = outcome.solver_result.cuts_invalidated;
     decision.cuts_banked = outcome.solver_result.cuts_banked;
-    decision.hint_accepted = outcome.solver_result.hint_accepted;
-    decision.hint_rejected = outcome.solver_result.hint_rejected;
     decision.deadline_exceeded = outcome.solver_result.deadline_exceeded;
     const PolicyCheck check =
         validate_policy(current_problem(demands), outcome.policy);

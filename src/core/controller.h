@@ -65,12 +65,6 @@ struct ControlDecision {
   int cuts_replayed = 0;
   int cuts_invalidated = 0;
   int cuts_banked = 0;
-  // Warm-hint provenance of the solve (see te::MinMaxResult): whether a
-  // voted hint was applied, or rejected (verification failure or mid-solve
-  // discard). All zero when PreTeConfig::learned_warm_start is off, the
-  // shape's hint bank abstained, or the solve threw.
-  int hint_accepted = 0;
-  int hint_rejected = 0;
   // Degradation-ladder bookkeeping: which rung produced `policy`, whether
   // the solve deadline expired on the way, and the Benders bound gap of the
   // installed policy (0 at proven optimality, 1.0 on the ladder's lower
@@ -214,7 +208,7 @@ class Controller {
   const ControllerConfig& config() const { return config_; }
   const std::vector<double>& static_probs() const { return static_probs_; }
   // The long-lived TE scheme — exposes its cache statistics (basis cache,
-  // cut bank, hint bank) so callers can observe cross-epoch warm starts.
+  // cut bank) so callers can observe cross-epoch warm starts.
   const te::PreTeScheme& scheme() const { return scheme_; }
   // Quality verdict of the most recent on_telemetry window (default-
   // constructed before the first call).

@@ -1,7 +1,6 @@
 #include "te/minmax.h"
 
 #include <algorithm>
-#include <cmath>
 #include <compare>
 #include <cstring>
 #include <map>
@@ -14,7 +13,6 @@
 #include "runtime/parallel.h"
 #include "te/lp_common.h"
 #include "util/hash.h"
-#include "util/rng.h"
 
 namespace prete::te {
 
@@ -143,10 +141,6 @@ struct BendersCut : CutInequality {
   // lower-bound max — which is what keeps its bank entry alive.
   int bank_index = -1;
   bool active = false;
-  // A warm-hint steering pseudo-cut: not an inequality at all, only a drop-
-  // ordering prior. Excluded from the lower bound AND from cut-bank
-  // writeback (a bank cut is at least a valid inequality; this is neither).
-  bool steering = false;
 };
 
 // Deterministic total order on distinct bank entries for size-bound
@@ -156,17 +150,6 @@ struct BendersCut : CutInequality {
 bool cut_lex_less(const CutBank::Cut& a, const CutBank::Cut& b) {
   return std::tie(a.terms, a.constant) < std::tie(b.terms, b.constant);
 }
-
-// Ceiling for steering-cut weights: genuine Phi-row duals sum to at most
-// the Phi objective coefficient (1), so clamping predicted weights to
-// [0, kSteerWeightCap] keeps the steering cut inside the range the fresh
-// cuts occupy. A sentinel weight above that range would pin the master to
-// the predicted drop set no matter what the genuine cuts say — and since
-// each fresh cut is tight at the very point it was generated, a pinned
-// master would certify ANY predicted point as converged. Realistic weights
-// close that hole: a wrong envelope loses the master pass to the real
-// duals and costs iterations, not correctness.
-constexpr double kSteerWeightCap = 1.0;
 
 }  // namespace
 
@@ -424,12 +407,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // to this epoch's scenario indices and rescales them to this epoch's
   // demands (see CutBank for why the scaled cut stays valid). Probability
   // changes need nothing: v(delta) does not depend on them. The basis
-  // cache's row recipes, the warm hint and the trace use the same pattern
-  // keys.
+  // cache's row recipes use the same pattern keys.
   std::vector<std::uint64_t> pattern_sig;
   std::map<std::uint64_t, std::size_t> sig_to_q;
-  if (cache != nullptr || cut_bank != nullptr || options.warm_hint != nullptr ||
-      options.collect_trace) {
+  if (cache != nullptr || cut_bank != nullptr) {
     pattern_sig.resize(Q.size());
     for (std::size_t q = 0; q < Q.size(); ++q) {
       pattern_sig[q] = scenario_signature(Q[q]);
@@ -451,56 +432,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     }
   }
 
-  // ---- Warm-hint verification: trust nothing, charge rejections. ----
-  // An accepted hint contributes two things: a steering pseudo-cut (drop-
-  // ordering prior for the master, excluded from the lower bound and the
-  // bank) and a pre-seeded row set for the first subproblem (valid Phi-rows
-  // never change an LP optimum). Any failed check rejects the hint whole:
-  // the solve is then bitwise identical to one called without a hint.
-  const WarmHint* hint = options.warm_hint;
-  bool hint_verified = false;
-  bool steering_live = false;
-  if (hint != nullptr) {
-    bool ok = hint->shape_signature == signature;
-    if (ok) {
-      for (const WarmHint::Pair& p : hint->drops) {
-        if (p.flow < 0 || static_cast<std::size_t>(p.flow) >= delta.size() ||
-            !(p.weight >= 0.0) || !std::isfinite(p.weight)) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      for (const WarmHint::Pair& p : hint->active_rows) {
-        if (p.flow < 0 || static_cast<std::size_t>(p.flow) >= delta.size()) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      hint_verified = true;
-      result.hint_accepted = 1;
-      BendersCut steer;
-      steer.steering = true;
-      for (const WarmHint::Pair& p : hint->drops) {
-        const auto it = sig_to_q.find(p.pattern);
-        if (it == sig_to_q.end()) continue;  // vanished pattern: no opinion
-        if (fatal[static_cast<std::size_t>(p.flow)][it->second]) continue;
-        const double w = std::min(p.weight, kSteerWeightCap);
-        if (w <= 0.0) continue;  // the master never drops weight-0 pairs
-        steer.weights[{p.flow, it->second}] = w;
-      }
-      if (!steer.weights.empty()) {
-        cuts.push_back(std::move(steer));
-        steering_live = true;
-      }
-    } else {
-      result.hint_rejected = 1;
-    }
-  }
-
   std::vector<std::vector<char>> best_delta = delta;
 
   // Master pass: per-flow scenario selection over the current cut list.
@@ -515,12 +446,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // which is the signal that keeps its bank entry alive.
   std::vector<std::vector<int>> master_marks(
       cut_bank != nullptr ? flows.size() : 0);
-  // Traced solves snapshot each master pass's per-flow weight envelope (the
-  // max-over-cuts aggregate); the last snapshot is what justified the final
-  // drop selection and is what trace_drops reports per dropped pair. Rows
-  // are written disjointly by flow, so the snapshot is pool-size-invariant.
-  std::vector<std::vector<double>> trace_weights(
-      options.collect_trace ? flows.size() : 0);
   auto run_master = [&]() {
     const bool track = cut_bank != nullptr;
     runtime::parallel_for(
@@ -541,7 +466,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
               }
             }
           }
-          if (!trace_weights.empty()) trace_weights[f] = weight;
           auto& df = delta[f];
           const auto& pins = fatal[f];
           const double budget = base_budget - pinned_mass[f];
@@ -574,12 +498,12 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       }
     }
   };
-  // Replayed cuts — and the warm hint's steering pseudo-cut — drive a
-  // master pass BEFORE the first subproblem, so iteration 1 already solves
-  // at the warm drop selection instead of the expensive all-ones point. In
-  // a steady-state epoch the fresh cut then closes the gap immediately and
-  // the warm solve converges in one iteration. Without a bank or hint the
-  // pre-pass is skipped and the solve is bitwise the legacy cold algorithm.
+  // Replayed cuts drive a master pass BEFORE the first subproblem, so
+  // iteration 1 already solves at the warm drop selection instead of the
+  // expensive all-ones point. In a steady-state epoch the fresh cut then
+  // closes the gap immediately and the warm solve converges in one
+  // iteration. Without a bank the pre-pass is skipped and the solve is
+  // bitwise the legacy cold algorithm.
   if (!cuts.empty()) run_master();
 
   // Successive subproblems share the variable layout and the capacity-row
@@ -650,18 +574,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
                  static_cast<std::size_t>(key.first) < delta.size() &&
                  selected(key);
         });
-    // Hint seed: the hint's voted final Phi-rows, restricted to pairs the
-    // current delta actually selects. Any selected pair's Phi-row is a
-    // valid member of the full subproblem, so seeding can only save
-    // row-generation rounds, never change the SP optimum.
-    if (rows.keys().empty() && hint_verified && iter == 0) {
-      for (const WarmHint::Pair& p : hint->active_rows) {
-        const auto it = sig_to_q.find(p.pattern);
-        if (it == sig_to_q.end()) continue;
-        const Key key{p.flow, it->second};
-        if (selected(key) && !rows.has(key)) rows.add(key);
-      }
-    }
     // Cold seed: the highest-probability scenario's rows.
     if (rows.keys().empty()) {
       for (const net::Flow& flow : flows) {
@@ -751,15 +663,11 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // homogeneous family this run derived. Bank cuts steer the master's drop
     // selection — the actual warm start — while only this run's own cuts
     // bound it (ROADMAP item 3 lets them in once the master is an envelope
-    // minimiser). The warm hint's steering pseudo-cut is excluded for a
-    // stronger reason: it is not an inequality at all, just a drop-ordering
-    // prior carrying predicted (dual-range-clamped) weights.
+    // minimiser).
     const double lb = runtime::parallel_reduce(
         cuts.size(), 0.0,
         [&](std::size_t i) {
-          return cuts[i].bank_index >= 0 || cuts[i].steering
-                     ? 0.0
-                     : cuts[i].value(delta);
+          return cuts[i].bank_index >= 0 ? 0.0 : cuts[i].value(delta);
         },
         [](double a, double b) { return std::max(a, b); },
         /*grain=*/8);
@@ -769,8 +677,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       // the marks are independent of the pool size. (Replayed cuts earn
       // their keep through master_marks instead.)
       for (BendersCut& c : cuts) {
-        if (!c.active && c.bank_index < 0 && !c.steering &&
-            c.value(delta) == lb) {
+        if (!c.active && c.bank_index < 0 && c.value(delta) == lb) {
           c.active = true;
         }
       }
@@ -779,15 +686,12 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // Restart rule: rescaled bank weights stay priced for the demands they
     // were derived under and can lock the greedy master at a delta where
     // this run's own cuts read above the incumbent. A crossing while they
-    // steer drops every cut (the steering cut too) and reruns the loop from
-    // the cold start with a full iteration budget: the rerun is the
-    // bankless algorithm.
+    // steer drops every cut and reruns the loop from the cold start with a
+    // full iteration budget: the rerun is the bankless algorithm.
     if (bounds.crossed &&
         std::any_of(cuts.begin(), cuts.end(),
                     [](const BendersCut& c) { return c.bank_index >= 0; })) {
       result.bank_restart = true;
-      if (steering_live) result.hint_rejected = 1;
-      steering_live = false;
       cuts.clear();
       delta = best_delta = cold_delta;
       bounds = BendersBounds{};
@@ -803,19 +707,6 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     if (gap_closed) {
       result.converged = true;
       break;
-    }
-    // Worse-than-cold discard: a steered first iteration that failed to
-    // close the gap means the prediction missed — drop the steering cut so
-    // every later master pass runs on genuine cuts only (the fresh cut
-    // derived at the steered point is a valid inequality and stays). The
-    // discard is counted as a rejection alongside the acceptance, so
-    // callers can tell "applied and paid off" from "applied and abandoned".
-    if (steering_live && iter == 0) {
-      cuts.erase(std::remove_if(cuts.begin(), cuts.end(),
-                                [](const BendersCut& c) { return c.steering; }),
-                 cuts.end());
-      steering_live = false;
-      result.hint_rejected = 1;
     }
   }
   // Second stage: keep the Phi guarantee when it is SLA-meaningful, and in
@@ -847,10 +738,9 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       }
     }
     // Bank this solve's fresh cuts under signature keys with a demand
-    // snapshot (the scaling witness for future replays). The steering
-    // pseudo-cut is not an inequality and must never be banked.
+    // snapshot (the scaling witness for future replays).
     for (const BendersCut& c : cuts) {
-      if (c.bank_index >= 0 || c.steering) continue;
+      if (c.bank_index >= 0) continue;
       CutBank::Cut stored;
       stored.constant = c.constant;
       stored.terms.reserve(c.weights.size());
@@ -934,103 +824,8 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   if (deadline != nullptr && deadline->expired()) {
     result.deadline_exceeded = true;
   }
-  // ---- Solve trace for HintBank::record (pure reporting). ----
-  // Only converged solves are traced: an incumbent cut short by
-  // a deadline has a drop set and row family that describe where the solve
-  // stopped, not where it was headed.
-  if (options.collect_trace && result.converged) {
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      for (std::size_t q = 0; q < Q.size(); ++q) {
-        if (!best_delta[f][q] && !fatal[f][q]) {
-          const double w =
-              trace_weights[f].size() == Q.size() ? trace_weights[f][q] : 0.0;
-          result.trace_drops.push_back(
-              {static_cast<int>(f), pattern_sig[q], w});
-        }
-      }
-    }
-    result.trace_active_rows.reserve(carry_keys.size());
-    for (const auto& key : carry_keys) {
-      result.trace_active_rows.push_back({key.first, pattern_sig[key.second]});
-    }
-  }
+  result.delta = std::move(best_delta);
   return result;
-}
-
-namespace {
-
-// Majority vote over the reservoir: a (flow, pattern) pair is kept when at
-// least kVoteFraction of the traces contain it, carrying the mean of the
-// weights it was observed with (the solver clamps them into the dual range
-// on use; non-finite observations are dropped from the mean). The tally map
-// is ordered, so the emitted pairs are sorted by (flow, pattern), and the
-// mean is folded in trace order, so it is bit-reproducible too.
-std::vector<WarmHint::Pair> vote_pairs(
-    const std::vector<HintBank::Trace>& traces,
-    std::vector<WarmHint::Pair> HintBank::Trace::*field) {
-  struct Tally {
-    std::size_t count = 0;
-    std::size_t weighted = 0;
-    double weight_sum = 0.0;
-  };
-  std::map<std::pair<int, std::uint64_t>, Tally> tallies;
-  for (const HintBank::Trace& trace : traces) {
-    for (const WarmHint::Pair& p : trace.*field) {
-      Tally& t = tallies[{p.flow, p.pattern}];
-      ++t.count;
-      if (std::isfinite(p.weight) && p.weight > 0.0) {
-        ++t.weighted;
-        t.weight_sum += p.weight;
-      }
-    }
-  }
-  const double need =
-      HintBank::kVoteFraction * static_cast<double>(traces.size());
-  std::vector<WarmHint::Pair> out;
-  for (const auto& [key, tally] : tallies) {
-    if (static_cast<double>(tally.count) + 1e-9 >= need) {
-      const double w =
-          tally.weighted > 0
-              ? tally.weight_sum / static_cast<double>(tally.weighted)
-              : 0.0;
-      out.push_back({key.first, key.second, w});
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::optional<WarmHint> HintBank::hint(std::uint64_t shape) {
-  if (shape != signature || traces.size() < kMinExamples) return std::nullopt;
-  WarmHint out;
-  out.shape_signature = shape;
-  out.drops = vote_pairs(traces, &Trace::drops);
-  out.active_rows = vote_pairs(traces, &Trace::active_rows);
-  ++issued;
-  return out;
-}
-
-void HintBank::record(std::uint64_t shape, const MinMaxResult& result) {
-  if (shape != signature) {
-    *this = HintBank{};
-    signature = shape;
-  }
-  accepted += result.hint_accepted;
-  rejected += result.hint_rejected;
-  if (!result.converged || result.policy.allocation.empty()) return;
-  Trace trace{result.trace_drops, result.trace_active_rows};
-  const std::uint64_t i = seen++;
-  if (traces.size() < kCapacity) {
-    traces.push_back(std::move(trace));
-    return;
-  }
-  // Reservoir step on the order-independent sub-stream for arrival i:
-  // retention is a pure function of (signature, i), whatever else draws
-  // randomness in the process.
-  const std::uint64_t j =
-      util::Rng(kSeed ^ signature).split(i).next_below(i + 1);
-  if (j < kCapacity) traces[static_cast<std::size_t>(j)] = std::move(trace);
 }
 
 }  // namespace prete::te

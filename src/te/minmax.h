@@ -25,43 +25,6 @@ namespace prete::te {
 // with delta only in the right-hand side — which makes Benders cuts exact
 // subgradients of the subproblem value function.
 
-// A warm-start hint for solve_min_max_benders: the drop set and Phi-rows a
-// HintBank voted from converged solves of earlier epochs. A hint is
-// advisory only and verified on arrival (see MinMaxOptions::warm_hint).
-struct WarmHint {
-  // problem_shape_signature(problem) the hint was voted for. A mismatch
-  // (e.g. tunnels were rebuilt since) rejects the whole hint.
-  std::uint64_t shape_signature = 0;
-
-  // A (flow, scenario-pattern) pair, the cross-epoch-stable key used by the
-  // cut bank: `pattern` is scenario_signature of the failed-fiber set, so
-  // the pair survives reduce_scenarios reordering and probability drift.
-  // `weight` is meaningful only for `drops`: the predicted master envelope
-  // weight that justified the drop (the max-over-cuts aggregate a converged
-  // cold solve recorded, see MinMaxResult::trace_drops). It is clamped into
-  // [0, 1] — the range genuine Phi-row duals live in — before entering the
-  // steering pseudo-cut, so a prediction competes with the fresh cuts on
-  // equal footing instead of overriding them with sentinel weights: a wrong
-  // drop set loses the master pass to the genuine duals and costs
-  // iterations, never a different certificate. Non-finite or negative
-  // weights reject the whole hint; a zero weight drops the pair from the
-  // steering cut (the master never drops weight-0 scenarios anyway).
-  struct Pair {
-    int flow = 0;
-    std::uint64_t pattern = 0;
-    double weight = 0.0;
-  };
-
-  // Predicted converged drop set: the scenarios each flow's master is
-  // expected to ignore. Steers the first master pass (and drop ordering)
-  // via a pseudo-cut that is excluded from the lower bound and the bank.
-  std::vector<Pair> drops;
-
-  // Predicted Phi-rows of the final subproblem; valid pairs pre-seed the
-  // first subproblem's lazy rows, cutting row-generation rounds.
-  std::vector<Pair> active_rows;
-};
-
 // The Benders solve is followed by a CVaR refinement that keeps the
 // quantile guarantee "loss <= Phi*" as hard rows — but only when Phi* is at
 // most this, small enough to be SLA-meaningful. Past it a fairness guarantee
@@ -86,20 +49,6 @@ struct MinMaxOptions {
   // over. nullptr (the default) is unlimited and leaves the solve bitwise
   // identical to a build without deadlines.
   util::Deadline* deadline = nullptr;
-  // Optional warm-start hint (not owned; may be null). Every field is
-  // verified before use — shape signature, flow range, finite non-negative
-  // weights — and a hint that fails any check is discarded whole: the solve
-  // is then bitwise identical to one with no hint. An accepted hint steers
-  // the master's first drop selection and pre-seeds subproblem rows; it is
-  // excluded from the bound arithmetic and the cut bank. That does not make
-  // the converged phi hint-independent: the master's lower bound is not a
-  // certificate (ROADMAP item 1), so a steered solve can declare
-  // convergence at a different phi than the unhinted solve.
-  const WarmHint* warm_hint = nullptr;
-  // Fill MinMaxResult::trace_drops / trace_active_rows so a caller can
-  // record this solve in a HintBank. Off the default path: tracing only
-  // formats keys after convergence, it never changes the solve.
-  bool collect_trace = false;
 };
 
 struct MinMaxResult {
@@ -118,6 +67,12 @@ struct MinMaxResult {
   // per flow; each entry fits inside that flow's covered_probability - beta
   // budget and is charged against it before the master drops anything else.
   std::vector<double> pinned_fatal_mass;
+  // The master selection the incumbent was solved at (Benders only; empty
+  // for the direct solver): delta[f][q] = 1 when flow f must survive
+  // scenario q of the solved set, 0 for dropped and pinned fatal pairs. When
+  // phi <= kGuaranteeThreshold the shipped policy keeps loss <= phi on every
+  // selected pair; past it the CVaR refinement drops that guarantee.
+  std::vector<std::vector<char>> delta;
   // Total simplex pivots spent across every LP solve in the decomposition
   // (subproblem rounds, per-flow masters, CVaR refinement). The number a
   // basis cache is supposed to shrink.
@@ -137,22 +92,6 @@ struct MinMaxResult {
   int cuts_invalidated = 0;
   int cuts_banked = 0;
   bool bank_restart = false;
-  // Warm-hint provenance (all zero when MinMaxOptions::warm_hint was null):
-  // whether the hint passed verification and was applied, and whether it
-  // was rejected (failed verification, or its steered first iteration
-  // failed to close the gap and the steering was dropped).
-  int hint_accepted = 0;
-  int hint_rejected = 0;
-  // Solve trace for HintBank::record, filled only when
-  // MinMaxOptions::collect_trace is set and the solve converged: the
-  // converged master drop set (excluding pre-pinned fatal scenarios) and
-  // the final subproblem's generated Phi-rows, both keyed by
-  // (flow, pattern signature) so they stay meaningful across epochs. Each
-  // drop also records the final master pass's envelope weight for its pair
-  // — the quantity a future epoch's steering cut needs to reproduce this
-  // drop ordering with genuine-scale weights.
-  std::vector<WarmHint::Pair> trace_drops;
-  std::vector<WarmHint::Pair> trace_active_rows;
   // The MinMaxOptions deadline expired mid-solve: `policy` is the best
   // incumbent reached (possibly empty if not even one subproblem finished)
   // and `upper_bound`/`lower_bound` bracket how far the decomposition got.
@@ -306,49 +245,6 @@ struct CutInequality {
 std::optional<CutInequality> replay_cut(
     const CutBank::Cut& cut, const TeProblem& problem,
     const std::map<std::uint64_t, std::size_t>& sig_to_q);
-
-// Cross-epoch warm-hint votes, owned by the caller next to its BasisCache
-// and CutBank (te::PreTeScheme keeps one per problem shape when
-// PreTeConfig::learned_warm_start is on). record() keeps a bounded
-// reservoir of converged solves' drop sets and final Phi-rows; hint() votes
-// them into a WarmHint once kMinExamples solves are in. Retention of
-// arrival i is decided by Rng::split(i) of a root seeded with
-// kSeed ^ signature — a pure function of the record sequence — so the
-// votes, like the cache and the bank, are bit-identical at any pool size.
-// Like the cut bank the votes are keyed by pattern signature and survive
-// scenario reordering; a signature mismatch starts the bank fresh.
-struct HintBank {
-  static constexpr std::size_t kCapacity = 32;
-  static constexpr std::size_t kMinExamples = 2;
-  // A (flow, pattern) pair enters the hint when at least this fraction of
-  // the reservoir's solves contain it.
-  static constexpr double kVoteFraction = 0.5;
-  static constexpr std::uint64_t kSeed = 17;
-
-  struct Trace {
-    std::vector<WarmHint::Pair> drops;
-    std::vector<WarmHint::Pair> active_rows;
-  };
-
-  std::uint64_t signature = 0;  // problem_shape_signature of the traces
-  std::vector<Trace> traces;
-  std::uint64_t seen = 0;  // record() arrivals since the last reset
-
-  // Monotone counters (reset with the bank on a signature change).
-  int issued = 0;    // hints handed out
-  int accepted = 0;  // recorded solves whose hint passed verification
-  int rejected = 0;  // recorded solves whose hint was rejected or discarded
-
-  // The majority-vote hint for `signature`, or nullopt when the bank holds
-  // another shape or fewer than kMinExamples solves.
-  std::optional<WarmHint> hint(std::uint64_t signature);
-
-  // Counts the solve's hint outcome and, when it converged with a policy,
-  // adds its trace (MinMaxOptions::collect_trace must have been set) to the
-  // reservoir. A deadline-starved incumbent describes where the solve
-  // stopped, not where it was headed, so it is never recorded.
-  void record(std::uint64_t signature, const MinMaxResult& result);
-};
 
 // Hash of the subproblem data the shape signature deliberately excludes but
 // cut validity depends on: per-link capacities and the link->fiber mapping

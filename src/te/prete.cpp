@@ -126,19 +126,9 @@ PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
   MinMaxOptions solver = config_.solver;
   solver.beta = std::min(config_.beta, outcome.scenarios.covered_probability);
   if (deadline != nullptr) solver.deadline = deadline;
-  const std::uint64_t signature = problem_shape_signature(problem);
-  ShapeState& state = shape_state(signature);
-  std::optional<WarmHint> hint;
-  if (config_.learned_warm_start) {
-    hint = state.hints.hint(signature);
-    if (hint) solver.warm_hint = &*hint;
-    solver.collect_trace = true;
-  }
+  ShapeState& state = shape_state(problem_shape_signature(problem));
   outcome.solver_result = solve_min_max_benders(
       problem, outcome.scenarios, solver, &state.basis, &state.cut_bank);
-  if (config_.learned_warm_start) {
-    state.hints.record(signature, outcome.solver_result);
-  }
   outcome.policy = outcome.solver_result.policy;
   return outcome;
 }
@@ -181,9 +171,6 @@ void PreTeScheme::add_counters(CacheStats& stats, const ShapeState& state) {
   stats.cuts_invalidated += state.cut_bank.invalidated;
   stats.cuts_banked += state.cut_bank.inserted;
   stats.cut_evictions += state.cut_bank.evicted;
-  stats.hints_issued += state.hints.issued;
-  stats.hints_accepted += state.hints.accepted;
-  stats.hints_rejected += state.hints.rejected;
 }
 
 }  // namespace prete::te

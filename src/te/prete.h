@@ -31,12 +31,6 @@ struct PreTeConfig {
   TunnelUpdateConfig tunnel_update;
   MinMaxOptions solver;
   ScenarioOptions scenario_options;
-  // Learned warm start: each shape's HintBank records converged solves and
-  // votes a WarmHint for the next solve of that shape. Off by default. With
-  // drifting demands the hints cut Benders pivots on top of the cut bank,
-  // but converged phi can differ from the unhinted solve (see
-  // MinMaxOptions::warm_hint), so turning it on changes decisions.
-  bool learned_warm_start = false;
   // Optional scenario-generator override. When set it replaces the default
   // generate_failure_scenarios(calibrated, scenario_options) call, receiving
   // the calibrated per-fiber probabilities — this is how SRLG-correlated
@@ -55,18 +49,16 @@ struct PreTeConfig {
 // compute_for_degradation mutates the tunnel set (adds dynamic tunnels) and
 // returns the policy over the enlarged tunnel table.
 //
-// The scheme is stateful across calls: it keeps one te::BasisCache, one
-// te::CutBank and one te::HintBank per LP problem shape (keyed by
-// problem_shape_signature), so a long-lived scheme — core::Controller holds
-// one for the controller lifetime — warm-starts each epoch's Benders solve
-// from the previous epoch with the same topology and tunnel set, replays
-// that epoch's still-valid optimality cuts onto the master, and (with
-// PreTeConfig::learned_warm_start) steers it with the shape's voted hint.
-// Tunnel-set changes produce a new signature and therefore a cold (but
-// correct) solve. The shape table is
-// bounded: past kMaxCachedShapes the least-recently-used shape is evicted
-// (deterministic — access stamps are unique), and cache_stats() reports the
-// eviction count so callers can see thrash.
+// The scheme is stateful across calls: it keeps one te::BasisCache and one
+// te::CutBank per LP problem shape (keyed by problem_shape_signature), so a
+// long-lived scheme — core::Controller holds one for the controller
+// lifetime — warm-starts each epoch's Benders solve from the previous epoch
+// with the same topology and tunnel set and replays that epoch's
+// still-valid optimality cuts onto the master. Tunnel-set changes produce a
+// new signature and therefore a cold (but correct) solve. The shape table
+// is bounded: past kMaxCachedShapes the least-recently-used shape is
+// evicted (deterministic — access stamps are unique), and cache_stats()
+// reports the eviction count so callers can see thrash.
 class PreTeScheme {
  public:
   PreTeScheme(std::vector<double> static_fiber_probs, PreTeConfig config = {});
@@ -100,9 +92,7 @@ class PreTeScheme {
                              const DegradationScenario& degradation) const;
 
   // The stateful back half: reactive tunnel updates, then the Benders solve
-  // seeded from this shape's basis cache, cut bank and (when enabled) hint
-  // bank. The hint is voted for the post-update shape, so a degradation that
-  // grows the tunnel table gets the hint of the table it actually solves.
+  // seeded from the post-update shape's basis cache and cut bank.
   // Equivalent to compute_for_degradation when `prepared` came from
   // prepare_scenarios on the same degradation — compute_for_degradation is
   // exactly the composition of the two halves, so pipelined and serial
@@ -152,11 +142,6 @@ class PreTeScheme {
     int cuts_invalidated = 0;
     int cuts_banked = 0;
     int cut_evictions = 0;
-    // Hint-bank aggregates (see te::HintBank): hints handed to the solver,
-    // and how many of those the solver accepted or rejected.
-    int hints_issued = 0;
-    int hints_accepted = 0;
-    int hints_rejected = 0;
   };
   CacheStats cache_stats() const;
 
@@ -169,12 +154,11 @@ class PreTeScheme {
   // started every cached shape at once.
   static constexpr std::size_t kMaxCachedShapes = 16;
 
-  // Warm-start state for one problem shape: the simplex basis cache, the
-  // Benders cut bank and the warm-hint votes, plus the LRU stamp.
+  // Warm-start state for one problem shape: the simplex basis cache and the
+  // Benders cut bank, plus the LRU stamp.
   struct ShapeState {
     BasisCache basis;
     CutBank cut_bank;
-    HintBank hints;
     std::uint64_t last_used = 0;
   };
   ShapeState& shape_state(std::uint64_t signature);

@@ -30,9 +30,9 @@ std::uint64_t scenario_signature(const FailureScenario& scenario);
 
 // Starting hash of the te signatures (scenario_signature,
 // problem_shape_signature, cut_environment_signature). It is one digit
-// short of util::kFnvOffsetBasis. It stays: the hint bank orders its votes
-// by pattern signature and draws its reservoir from the shape signature,
-// so a new seed would move decisions.
+// short of util::kFnvOffsetBasis. It stays: the cut bank sorts its terms by
+// pattern signature and breaks eviction ties on that order, so a new seed
+// could move decisions.
 inline constexpr std::uint64_t kSignatureSeed = 1469598103934665603ull;
 
 struct ScenarioSet {

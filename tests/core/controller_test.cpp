@@ -179,81 +179,6 @@ TEST(ControllerTest, CarriedBasisCutsPivotsAcrossEpochs) {
   EXPECT_EQ(stats3.hits, stats2.hits);
 }
 
-TEST(ControllerTest, LearnedWarmStartSurfacesCountersAndPreservesPhi) {
-  // Two controllers on identical inputs, one with the learned warm start
-  // enabled. Each shape's hint bank needs two recorded epochs before it
-  // hints; once it does, the hint must be verified-accepted, and on this
-  // instance the decision phi stays bitwise equal to the plain
-  // controller's.
-  ControllerFixture fx;
-  // Capacity-pressure demands so the master's drop selection is non-trivial
-  // and traces carry real drop sets.
-  const net::TrafficMatrix demands = {10.0, 10.0};
-  Controller plain = fx.make();
-  fx.config.te.learned_warm_start = true;
-  Controller learned = fx.make();
-
-  int accepted_epochs = 0;
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    const auto expect = plain.on_te_period(demands);
-    const auto got = learned.on_te_period(demands);
-    EXPECT_EQ(got.phi, expect.phi) << "epoch " << epoch;
-    // The plain controller never sees hint traffic.
-    EXPECT_EQ(expect.hint_accepted, 0);
-    EXPECT_EQ(expect.hint_rejected, 0);
-    if (got.hint_accepted == 1 && got.hint_rejected == 0) ++accepted_epochs;
-  }
-  // Epochs 1-2 record (two examples minimum), later epochs hint.
-  EXPECT_GE(accepted_epochs, 1);
-
-  const auto stats = learned.scheme().cache_stats();
-  EXPECT_EQ(stats.hints_issued, 3);
-  EXPECT_EQ(stats.hints_accepted, accepted_epochs);
-  EXPECT_EQ(stats.shapes, 1);
-  EXPECT_EQ(plain.scheme().cache_stats().hints_issued, 0);
-}
-
-TEST(ControllerTest, LearnedWarmStartHintsRepeatedDegradation) {
-  // A degradation grows the tunnel table, so its solve runs on a new shape.
-  // The hint is voted after the tunnel update, from that shape's own bank —
-  // never from the static table's bank, whose hint would fail the solver's
-  // shape check. Once two degradations of the same fiber are recorded, the
-  // third gets a hint for its own shape and the solver accepts it.
-  net::Topology topo = net::make_b4();
-  std::vector<double> probs(static_cast<std::size_t>(topo.network.num_fibers()),
-                            0.005);
-  ControllerConfig config;
-  config.te.beta = 0.99;
-  config.te.learned_warm_start = true;
-  Controller controller(topo, probs,
-                        std::make_shared<FixedPredictor>(0.45), config);
-  util::Rng rng(5);
-  net::TrafficConfig tc;
-  tc.diurnal_swing = 0.0;
-  tc.noise = 0.0;
-  const auto demands =
-      net::generate_traffic(topo.network, topo.flows, rng, tc)[0];
-  optical::DegradationFeatures features;
-  features.fiber_id = 0;
-
-  // Two TE periods fill the static table's bank first.
-  controller.on_te_period(demands);
-  controller.on_te_period(demands);
-  std::vector<ControlDecision> decisions;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    decisions.push_back(controller.on_degradation(features, demands));
-    controller.on_degradation_cleared();
-  }
-  EXPECT_GT(decisions[2].new_tunnels, 0);
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    EXPECT_EQ(decisions[repeat].hint_accepted, 0) << "repeat " << repeat;
-    EXPECT_EQ(decisions[repeat].hint_rejected, 0) << "repeat " << repeat;
-  }
-  EXPECT_EQ(decisions[2].hint_accepted, 1);
-  EXPECT_EQ(decisions[2].fallback_level, FallbackLevel::kFull);
-  EXPECT_EQ(controller.scheme().cache_stats().hints_issued, 1);
-}
-
 TEST(ControllerTest, LadderDescendsToStaticFloorWithoutHistory) {
   // A 1-pivot budget cannot finish any solve, and a fresh controller has no
   // last-good policy: the first decision lands on the static floor, which is

@@ -4,6 +4,7 @@
 
 #include "net/topology.h"
 #include "te/evaluator.h"
+#include "te/lp_common.h"
 
 namespace prete::te {
 namespace {
@@ -184,6 +185,32 @@ TEST(MinMaxBendersTest, EvaluatedPhiIsCertifiedByConvergedSolve) {
     EXPECT_LE(evaluate_phi(fx.problem, set, options.beta, result.policy),
               result.phi + 1e-6)
         << "demand " << demand;
+    // delta is the selection behind that phi: each flow drops at most its
+    // probability budget outside the fatal pins, and every kept pair's loss
+    // is within phi.
+    const auto& Q = set.scenarios;
+    ASSERT_EQ(result.delta.size(), fx.problem.flows->size());
+    for (const net::Flow& flow : *fx.problem.flows) {
+      const std::vector<char>& kept =
+          result.delta[static_cast<std::size_t>(flow.id)];
+      ASSERT_EQ(kept.size(), Q.size());
+      double dropped = 0.0;
+      for (std::size_t q = 0; q < Q.size(); ++q) {
+        if (kept[q] == 0) {
+          bool fatal = true;
+          for_each_surviving(fx.problem, flow.id, Q[q].fiber_failed,
+                             [&](net::TunnelId) { fatal = false; });
+          if (!fatal) dropped += Q[q].probability;
+          continue;
+        }
+        const auto losses = flow_losses(fx.problem, result.policy, Q[q]);
+        EXPECT_LE(losses[static_cast<std::size_t>(flow.id)],
+                  result.phi + 1e-6)
+            << "demand " << demand << " flow " << flow.id << " q " << q;
+      }
+      EXPECT_LE(dropped, set.covered_probability - options.beta + 1e-12)
+          << "demand " << demand << " flow " << flow.id;
+    }
   }
 }
 

@@ -7,15 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "optical/fiber_model.h"
 #include "te/evaluator.h"
-#include "te/lp_common.h"
 #include "te/prete.h"
 #include "util/rng.h"
 
@@ -41,7 +38,6 @@ TEST(RefinementTest, B4RefinementPastNineHundredRowsKeepsEveryGuarantee) {
       net::generate_traffic(topo.network, topo.flows, traffic_rng, tc)[0];
 
   PreTeConfig config;
-  config.solver.collect_trace = true;  // the drop set names the kept pairs
   PreTeScheme scheme(static_probs, config);
   net::TunnelSet tunnels = net::build_tunnels(topo.network, topo.flows);
   // The periodic run leaves the refinement rows the degraded decision
@@ -64,23 +60,20 @@ TEST(RefinementTest, B4RefinementPastNineHundredRowsKeepsEveryGuarantee) {
   problem.flows = &topo.flows;
   problem.tunnels = &tunnels;
   problem.demands = demands;
-  std::set<std::pair<int, std::uint64_t>> dropped;
-  for (const WarmHint::Pair& pair : result.trace_drops) {
-    dropped.insert({pair.flow, pair.pattern});
-  }
+  // delta names the kept pairs: dropped and pinned fatal pairs are 0.
+  const auto& Q = outcome.scenarios.scenarios;
+  ASSERT_EQ(result.delta.size(), topo.flows.size());
   int guaranteed = 0;
   int violated = 0;
   double worst = 0.0;
-  for (const FailureScenario& scenario : outcome.scenarios.scenarios) {
+  for (std::size_t q = 0; q < Q.size(); ++q) {
     const std::vector<double> losses =
-        flow_losses(problem, outcome.policy, scenario);
-    const std::uint64_t pattern = scenario_signature(scenario);
+        flow_losses(problem, outcome.policy, Q[q]);
     for (const net::Flow& flow : topo.flows) {
-      // A pair with no surviving tunnel is pinned as dropped up front.
-      bool any_alive = false;
-      for_each_surviving(problem, flow.id, scenario.fiber_failed,
-                         [&](net::TunnelId) { any_alive = true; });
-      if (!any_alive || dropped.count({flow.id, pattern}) != 0) continue;
+      const std::vector<char>& kept =
+          result.delta[static_cast<std::size_t>(flow.id)];
+      ASSERT_EQ(kept.size(), Q.size());
+      if (kept[q] == 0) continue;
       ++guaranteed;
       const double loss = losses[static_cast<std::size_t>(flow.id)];
       if (loss > result.phi + 1e-6) {
