@@ -49,22 +49,83 @@ TePolicy extract_policy(const TeProblem& problem,
   return policy;
 }
 
+SurvivalIndex::SurvivalIndex(const TeProblem& problem,
+                             const std::vector<FailureScenario>& patterns) {
+  const net::Network& net = *problem.network;
+  const net::TunnelSet& tunnels = *problem.tunnels;
+  num_flows_ = static_cast<std::size_t>(tunnels.num_flows());
+  // Every flow's full list: the entry of each flow a pattern leaves whole.
+  std::vector<Entry> whole(num_flows_);
+  for (std::size_t f = 0; f < num_flows_; ++f) {
+    const auto& all = tunnels.tunnels_for_flow(static_cast<net::FlowId>(f));
+    whole[f].begin = static_cast<std::uint32_t>(tunnels_.size());
+    tunnels_.insert(tunnels_.end(), all.begin(), all.end());
+    whole[f].end = static_cast<std::uint32_t>(tunnels_.size());
+  }
+  // The tunnels riding each fiber, and the fibers some tunnel rides: only
+  // those can kill a tunnel, so each pattern reads only their bits.
+  std::vector<std::vector<net::TunnelId>> riders(
+      static_cast<std::size_t>(net.num_fibers()));
+  for (const net::Tunnel& t : tunnels.tunnels()) {
+    for (net::LinkId e : t.path) {
+      riders[static_cast<std::size_t>(net.link(e).fiber)].push_back(t.id);
+    }
+  }
+  std::vector<std::size_t> ridden;
+  for (std::size_t i = 0; i < riders.size(); ++i) {
+    if (!riders[i].empty()) ridden.push_back(i);
+  }
+  // killed_in[t] == q: tunnel t rides a fiber failed in pattern q.
+  // cut_in[f] == q: pattern q kills some tunnel of flow f.
+  std::vector<std::size_t> killed_in(
+      static_cast<std::size_t>(tunnels.num_tunnels()), patterns.size());
+  std::vector<std::size_t> cut_in(num_flows_, patterns.size());
+  std::vector<std::size_t> cut;
+  entries_.resize(patterns.size() * num_flows_);
+  for (std::size_t q = 0; q < patterns.size(); ++q) {
+    const std::vector<bool>& failed = patterns[q].fiber_failed;
+    cut.clear();
+    for (std::size_t i : ridden) {
+      if (!failed[i]) continue;
+      for (net::TunnelId t : riders[i]) {
+        killed_in[static_cast<std::size_t>(t)] = q;
+        const auto f = static_cast<std::size_t>(tunnels.tunnel(t).flow);
+        if (cut_in[f] != q) {
+          cut_in[f] = q;
+          cut.push_back(f);
+        }
+      }
+    }
+    Entry* row = entries_.data() + q * num_flows_;
+    std::copy(whole.begin(), whole.end(), row);
+    for (std::size_t f : cut) {
+      row[f].begin = static_cast<std::uint32_t>(tunnels_.size());
+      for (std::uint32_t i = whole[f].begin; i < whole[f].end; ++i) {
+        const net::TunnelId t = tunnels_[i];
+        if (killed_in[static_cast<std::size_t>(t)] != q) tunnels_.push_back(t);
+      }
+      row[f].end = static_cast<std::uint32_t>(tunnels_.size());
+    }
+  }
+}
+
 std::vector<lp::Coefficient> surviving_coefficients(
-    const TeProblem& problem, const std::vector<int>& alloc, net::FlowId f,
-    const std::vector<bool>& failed, double scale) {
+    const std::vector<int>& alloc, const SurvivalIndex& index, net::FlowId f,
+    std::size_t q, double scale) {
   std::vector<lp::Coefficient> coefs;
-  for_each_surviving(problem, f, failed, [&](net::TunnelId t) {
+  for (net::TunnelId t : index.surviving(f, q)) {
     coefs.push_back({alloc[static_cast<std::size_t>(t)], scale});
-  });
+  }
   return coefs;
 }
 
 void add_cvar_row(lp::Model& model, const TeProblem& problem,
-                  const std::vector<int>& alloc, int var_t, net::FlowId f,
-                  const std::vector<bool>& failed, double cost) {
+                  const std::vector<int>& alloc, int var_t,
+                  const SurvivalIndex& index, net::FlowId f, std::size_t q,
+                  double cost) {
   const int s = model.add_variable(0.0, 1.0, cost);
   std::vector<lp::Coefficient> coefs = surviving_coefficients(
-      problem, alloc, f, failed, 1.0 / demand_floor(problem, f));
+      alloc, index, f, q, 1.0 / demand_floor(problem, f));
   coefs.push_back({s, 1.0});
   coefs.push_back({var_t, 1.0});
   model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);

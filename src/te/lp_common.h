@@ -1,14 +1,16 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
-#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "runtime/parallel.h"
+#include "te/scenario.h"
 #include "te/types.h"
 
 namespace prete::te {
@@ -33,43 +35,73 @@ inline double demand_floor(const TeProblem& problem, net::FlowId f) {
   return std::max(problem.demand(f), 1e-9);
 }
 
-// Calls visit(t) for each tunnel of flow f that survives the fibers marked
-// in `failed`, in tunnels_for_flow order: the one definition of "surviving"
-// that every TE LP row and pricing pass shares.
-template <class Visit>
-void for_each_surviving(const TeProblem& problem, net::FlowId f,
-                        const std::vector<bool>& failed, Visit&& visit) {
-  for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-    if (problem.tunnels->alive(*problem.network, t, failed)) visit(t);
+// Which of each flow's tunnels survive each failure pattern q of one solve:
+// the one definition of "surviving" that every TE LP row and pricing pass
+// shares. Entry (f, q) lists flow f's tunnels that ride no fiber failed in
+// pattern q, in tunnels_for_flow order, so rows built from it keep their
+// coefficient order. An empty entry is a fatal pair: no allocation reaches
+// the flow. Built once per solve by inversion — each pattern marks the
+// tunnels on its failed fibers — and read-only afterwards, so pool workers
+// share it during pricing.
+class SurvivalIndex {
+ public:
+  // `patterns`: a ScenarioSet's scenarios, or FFC's failure sets. Only
+  // their fiber_failed masks are read.
+  SurvivalIndex(const TeProblem& problem,
+                const std::vector<FailureScenario>& patterns);
+
+  std::span<const net::TunnelId> surviving(net::FlowId f,
+                                           std::size_t q) const {
+    const Entry& e = entries_[q * num_flows_ + static_cast<std::size_t>(f)];
+    return {tunnels_.data() + e.begin, tunnels_.data() + e.end};
   }
-}
+  bool fatal(net::FlowId f, std::size_t q) const {
+    return surviving(f, q).empty();
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  std::size_t num_flows_ = 0;
+  // Entry q * num_flows_ + f is the range tunnels_[begin, end). tunnels_
+  // opens with every flow's full tunnel list, which the entries of the
+  // flows a pattern leaves whole point into; the lists of the flows it cuts
+  // follow.
+  std::vector<Entry> entries_;
+  std::vector<net::TunnelId> tunnels_;
+};
 
 // Row coefficients: `scale` on each surviving tunnel's allocation variable.
 std::vector<lp::Coefficient> surviving_coefficients(
-    const TeProblem& problem, const std::vector<int>& alloc, net::FlowId f,
-    const std::vector<bool>& failed, double scale);
+    const std::vector<int>& alloc, const SurvivalIndex& index, net::FlowId f,
+    std::size_t q, double scale);
 
 // Fraction of flow f's demand that the allocation `x` routes over its
-// surviving tunnels. Inline: every pricing pass calls it once per (flow,
-// scenario).
+// tunnels surviving pattern q. Inline: every pricing pass calls it once per
+// (flow, scenario).
 inline double surviving_fraction(const TeProblem& problem,
                                  const std::vector<int>& alloc,
-                                 const std::vector<double>& x, net::FlowId f,
-                                 const std::vector<bool>& failed) {
+                                 const std::vector<double>& x,
+                                 const SurvivalIndex& index, net::FlowId f,
+                                 std::size_t q) {
   const double d = demand_floor(problem, f);
   double frac = 0.0;
-  for_each_surviving(problem, f, failed, [&](net::TunnelId t) {
+  for (net::TunnelId t : index.surviving(f, q)) {
     frac += x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])] / d;
-  });
+  }
   return frac;
 }
 
-// TeaVaR's CVaR row for flow f under `failed`: appends a shortfall variable
-// s in [0, 1] costing `cost` and the row s + VaR + (surviving allocation)/d_f
-// >= 1. TeaVaR, ARROW and PreTE's refinement stage share it.
+// TeaVaR's CVaR row for flow f under pattern q: appends a shortfall
+// variable s in [0, 1] costing `cost` and the row s + VaR + (surviving
+// allocation)/d_f >= 1. TeaVaR, ARROW and PreTE's refinement stage share it.
 void add_cvar_row(lp::Model& model, const TeProblem& problem,
-                  const std::vector<int>& alloc, int var_t, net::FlowId f,
-                  const std::vector<bool>& failed, double cost);
+                  const std::vector<int>& alloc, int var_t,
+                  const SurvivalIndex& index, net::FlowId f, std::size_t q,
+                  double cost);
 
 // ---- Lazy row generation ----
 // Every TE LP with one row per (flow, scenario) pair — the Benders
@@ -129,6 +161,16 @@ struct RowGeneration {
   }
 };
 
+// The RowGenerator key of a (flow, group) row and its dense id when every
+// flow has `groups` rows: the Benders subproblem, TeaVaR/ARROW and FFC key
+// their rows this way.
+using FlowGroupKey = std::pair<int, std::size_t>;
+inline auto flow_group_ids(std::size_t groups) {
+  return [groups](const FlowGroupKey& key) {
+    return static_cast<std::size_t>(key.first) * groups + key.second;
+  };
+}
+
 // Row generation over one model. The caller says how a key becomes a row
 // (`add_row`), which rows a solution violates (the pricing function given
 // to run) and what a stop means for it; the generator owns the loop, the
@@ -136,16 +178,24 @@ struct RowGeneration {
 template <class Key>
 class RowGenerator {
  public:
-  // `add_row(key)` appends key's row, and any column it brings, to `model`.
-  RowGenerator(lp::Model& model, std::function<void(const Key&)> add_row)
-      : model_(model), add_row_(std::move(add_row)) {}
+  // `key_id` numbers the caller's keys densely: it maps every key the
+  // caller adds or asks about to a distinct id below `key_count`, and the
+  // generator keeps one membership flag per id. `add_row(key)` appends
+  // key's row, and any column it brings, to `model`.
+  RowGenerator(lp::Model& model, std::size_t key_count,
+               std::function<std::size_t(const Key&)> key_id,
+               std::function<void(const Key&)> add_row)
+      : model_(model),
+        key_id_(std::move(key_id)),
+        add_row_(std::move(add_row)),
+        present_(key_count, 0) {}
 
   void add(const Key& key) {
     add_row_(key);
     keys_.push_back(key);
-    present_.insert(key);
+    present_[key_id_(key)] = 1;
   }
-  bool has(const Key& key) const { return present_.count(key) != 0; }
+  bool has(const Key& key) const { return present_[key_id_(key)] != 0; }
   const std::vector<Key>& keys() const { return keys_; }
 
   // Re-adds `carried` — the keys of the snapshot `basis`, taken on the same
@@ -231,9 +281,10 @@ class RowGenerator {
 
  private:
   lp::Model& model_;
+  std::function<std::size_t(const Key&)> key_id_;
   std::function<void(const Key&)> add_row_;
   std::vector<Key> keys_;
-  std::set<Key> present_;
+  std::vector<char> present_;  // by key id
 };
 
 }  // namespace prete::te

@@ -1,7 +1,6 @@
 #include "te/minmax.h"
 
 #include <algorithm>
-#include <compare>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -74,6 +73,8 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
   const auto& flows = *problem.flows;
   const auto& Q = scenarios.scenarios;
 
+  const SurvivalIndex survival(problem, Q);
+
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(model, problem);
   const int phi = model.add_variable(0.0, 1.0, 1.0, "Phi");
@@ -94,8 +95,8 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
     for (std::size_t q = 0; q < Q.size(); ++q) {
       avail_row.push_back({delta[{flow.id, q}], Q[q].probability});
       // (4): sum_{t alive} a + d * l >= d.
-      std::vector<lp::Coefficient> demand_row = surviving_coefficients(
-          problem, alloc, flow.id, Q[q].fiber_failed, 1.0);
+      std::vector<lp::Coefficient> demand_row =
+          surviving_coefficients(alloc, survival, flow.id, q, 1.0);
       demand_row.push_back({loss[{flow.id, q}], d});
       model.add_row(std::move(demand_row), lp::RowType::kGreaterEqual, d);
       // (6): Phi - l + (1 - delta) >= 0  <=>  Phi - l - delta >= -1.
@@ -206,6 +207,7 @@ void count_seed(BasisCache& cache, bool offered, bool installed) {
 // worst quantile loss; this stage breaks that tie the way an operator
 // would — protect everything that is cheap to protect.
 TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
+                       const SurvivalIndex& survival,
                        const std::vector<std::vector<char>>& delta,
                        double phi_star, double beta,
                        const lp::SimplexOptions& simplex_options,
@@ -230,21 +232,24 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     bool guarantee = false;
     int flow = 0;
     std::size_t q = 0;
-    auto operator<=>(const Key&) const = default;
   };
-  RowGenerator<Key> rows(model, [&](const Key& key) {
-    if (key.guarantee) {
-      model.add_row(
-          surviving_coefficients(problem, alloc, key.flow,
-                                 Q[key.q].fiber_failed,
-                                 1.0 / demand_floor(problem, key.flow)),
-          lp::RowType::kGreaterEqual, 1.0 - phi_bound);
-    } else {
-      add_cvar_row(model, problem, alloc, var_t, key.flow,
-                   Q[key.q].fiber_failed,
-                   Q[key.q].probability * flow_weight / tail);
-    }
-  });
+  auto key_id = [&](const Key& key) {
+    const std::size_t flow =
+        static_cast<std::size_t>(key.flow) + (key.guarantee ? flows.size() : 0);
+    return flow * Q.size() + key.q;
+  };
+  RowGenerator<Key> rows(
+      model, 2 * flows.size() * Q.size(), key_id, [&](const Key& key) {
+        if (key.guarantee) {
+          model.add_row(
+              surviving_coefficients(alloc, survival, key.flow, key.q,
+                                     1.0 / demand_floor(problem, key.flow)),
+              lp::RowType::kGreaterEqual, 1.0 - phi_bound);
+        } else {
+          add_cvar_row(model, problem, alloc, var_t, survival, key.flow, key.q,
+                       Q[key.q].probability * flow_weight / tail);
+        }
+      });
   auto guaranteed = [&](int flow, std::size_t q) {
     return enforce_guarantee && delta[static_cast<std::size_t>(flow)][q] != 0;
   };
@@ -282,8 +287,8 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
           std::vector<RowCandidate<Key>>& out) {
         const double t_val = sol.x[static_cast<std::size_t>(var_t)];
         for (const net::Flow& flow : flows) {
-          const double frac = surviving_fraction(problem, alloc, sol.x,
-                                                 flow.id, Q[q].fiber_failed);
+          const double frac =
+              surviving_fraction(problem, alloc, sol.x, survival, flow.id, q);
           if (guaranteed(flow.id, q) && !rows.has({true, flow.id, q}) &&
               1.0 - frac > phi_bound + 1e-7) {
             out.push_back({1.0 - frac - phi_bound, {true, flow.id, q}});
@@ -351,6 +356,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     }
   }
 
+  // One survival index serves the fatal-pair scan, every subproblem's
+  // Phi-rows and pricing, and the refinement's rows and pricing.
+  const SurvivalIndex survival(problem, Q);
+
   // Fatal pairs: scenarios where a flow keeps no tunnel at all. No
   // allocation can protect them (their Phi-row reads Phi >= 1), and at the
   // degenerate SP optimum the duals cannot be relied on to point the master
@@ -363,10 +372,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   for (const net::Flow& flow : flows) {
     std::vector<std::pair<double, std::size_t>> fatal_q;  // (prob, q)
     for (std::size_t q = 0; q < Q.size(); ++q) {
-      bool any_alive = false;
-      for_each_surviving(problem, flow.id, Q[q].fiber_failed,
-                         [&](net::TunnelId) { any_alive = true; });
-      if (!any_alive) fatal_q.push_back({Q[q].probability, q});
+      if (survival.fatal(flow.id, q)) fatal_q.push_back({Q[q].probability, q});
     }
     // Drop the most probable fatal scenarios first — they hurt Phi the most
     // if kept, and if all fit in the budget the order is irrelevant.
@@ -470,21 +476,24 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
           const auto& pins = fatal[f];
           const double budget = base_budget - pinned_mass[f];
           for (std::size_t q = 0; q < Q.size(); ++q) df[q] = pins[q] ? 0 : 1;
-          // Drop scenarios in decreasing weight while the mass budget
-          // allows; ties broken toward lower-probability scenarios (cheaper
-          // to drop).
-          std::vector<std::size_t> order(Q.size());
-          for (std::size_t q = 0; q < Q.size(); ++q) order[q] = q;
+          // Drop the unpinned scenarios a cut weighs in decreasing weight
+          // while the mass budget allows; ties broken toward
+          // lower-probability scenarios (cheaper to drop), then lower q.
+          std::vector<std::size_t> order;
+          for (std::size_t q = 0; q < Q.size(); ++q) {
+            if (!pins[q] && weight[q] > 0.0) order.push_back(q);
+          }
           std::sort(order.begin(), order.end(),
                     [&](std::size_t a, std::size_t b) {
                       if (weight[a] != weight[b]) return weight[a] > weight[b];
-                      return Q[a].probability < Q[b].probability;
+                      if (Q[a].probability != Q[b].probability) {
+                        return Q[a].probability < Q[b].probability;
+                      }
+                      return a < b;
                     });
           double dropped = 0.0;
           if (track) master_marks[fi].clear();
           for (std::size_t q : order) {
-            if (pins[q]) continue;
-            if (weight[q] <= 0.0) break;
             if (dropped + Q[q].probability <= budget + 1e-12) {
               df[q] = 0;
               dropped += Q[q].probability;
@@ -552,15 +561,17 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
     add_capacity_rows(sp, problem, alloc);
     const int fixed_rows = sp.num_rows();
-    using Key = std::pair<int, std::size_t>;
+    using Key = FlowGroupKey;
     // Phi-row for (f, q): Phi + sum_{t alive} a_t / d_f >= 1.
-    RowGenerator<Key> rows(sp, [&](const Key& key) {
-      std::vector<lp::Coefficient> coefs = surviving_coefficients(
-          problem, alloc, key.first, Q[key.second].fiber_failed,
-          1.0 / demand_floor(problem, key.first));
-      coefs.push_back({phi, 1.0});
-      sp.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
-    });
+    RowGenerator<Key> rows(
+        sp, flows.size() * Q.size(), flow_group_ids(Q.size()),
+        [&](const Key& key) {
+          std::vector<lp::Coefficient> coefs = surviving_coefficients(
+              alloc, survival, key.first, key.second,
+              1.0 / demand_floor(problem, key.first));
+          coefs.push_back({phi, 1.0});
+          sp.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
+        });
     auto selected = [&](const Key& key) {
       return delta[static_cast<std::size_t>(key.first)][key.second] != 0;
     };
@@ -591,8 +602,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
             if (!selected({flow.id, q}) || rows.has({flow.id, q})) continue;
             const double shortfall =
                 1.0 - phi_val -
-                surviving_fraction(problem, alloc, sol.x, flow.id,
-                                   Q[q].fiber_failed);
+                surviving_fraction(problem, alloc, sol.x, survival, flow.id, q);
             if (shortfall > kTol) out.push_back({shortfall, {flow.id, q}});
           }
         });
@@ -814,9 +824,9 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // incumbent ships as-is rather than starting another LP sequence.
   if (deadline == nullptr || !deadline->expired()) {
     TePolicy refined =
-        refine_policy(problem, scenarios, best_delta, guarantee, options.beta,
-                      simplex_options, pattern_sig, sig_to_q, cache,
-                      &result.simplex_pivots);
+        refine_policy(problem, scenarios, survival, best_delta, guarantee,
+                      options.beta, simplex_options, pattern_sig, sig_to_q,
+                      cache, &result.simplex_pivots);
     if (!refined.allocation.empty()) {
       result.policy = std::move(refined);
     }

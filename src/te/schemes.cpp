@@ -61,28 +61,34 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
     model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 0.0);
   }
 
-  // Structural failure sets of cardinality <= k, as failed-fiber masks.
-  std::vector<std::vector<bool>> failure_sets;
-  std::vector<bool> failed(static_cast<std::size_t>(net.num_fibers()), false);
+  // Structural failure sets of cardinality <= k, as failure patterns (their
+  // probabilities are unused).
+  std::vector<FailureScenario> failure_sets;
+  FailureScenario set{
+      std::vector<bool>(static_cast<std::size_t>(net.num_fibers()), false)};
+  std::vector<bool>& failed = set.fiber_failed;
   for (net::FiberId i = 0; i < net.num_fibers(); ++i) {
     failed[static_cast<std::size_t>(i)] = true;
-    if (k_ >= 1) failure_sets.push_back(failed);
+    if (k_ >= 1) failure_sets.push_back(set);
     for (net::FiberId j = i + 1; k_ >= 2 && j < net.num_fibers(); ++j) {
       failed[static_cast<std::size_t>(j)] = true;
-      failure_sets.push_back(failed);
+      failure_sets.push_back(set);
       failed[static_cast<std::size_t>(j)] = false;
     }
     failed[static_cast<std::size_t>(i)] = false;
   }
 
   // One lazy row per (flow, failure set): b_f <= surviving allocation.
-  using Key = std::pair<int, std::size_t>;
-  RowGenerator<Key> rows(model, [&](const Key& key) {
-    std::vector<lp::Coefficient> coefs = surviving_coefficients(
-        problem, alloc, key.first, failure_sets[key.second], 1.0);
-    coefs.push_back({granted[static_cast<std::size_t>(key.first)], -1.0});
-    model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 0.0);
-  });
+  const SurvivalIndex survival(problem, failure_sets);
+  using Key = FlowGroupKey;
+  RowGenerator<Key> rows(
+      model, flows.size() * failure_sets.size(),
+      flow_group_ids(failure_sets.size()), [&](const Key& key) {
+        std::vector<lp::Coefficient> coefs =
+            surviving_coefficients(alloc, survival, key.first, key.second, 1.0);
+        coefs.push_back({granted[static_cast<std::size_t>(key.first)], -1.0});
+        model.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 0.0);
+      });
   const auto result = rows.run(
       {}, {}, failure_sets.size(),
       [&](const lp::Solution& sol, std::size_t s,
@@ -94,15 +100,12 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
         constexpr double kTol = 1e-6;
         RowCandidate<Key> worst{kTol, {-1, s}};
         for (const net::Flow& flow : flows) {
+          if (survival.fatal(flow.id, s)) continue;
           double alive_sum = 0.0;
-          bool any_alive = false;
-          for_each_surviving(problem, flow.id, failure_sets[s],
-                             [&](net::TunnelId t) {
-                               any_alive = true;
-                               alive_sum += sol.x[static_cast<std::size_t>(
-                                   alloc[static_cast<std::size_t>(t)])];
-                             });
-          if (!any_alive) continue;
+          for (net::TunnelId t : survival.surviving(flow.id, s)) {
+            alive_sum += sol.x[static_cast<std::size_t>(
+                alloc[static_cast<std::size_t>(t)])];
+          }
           const double b = sol.x[static_cast<std::size_t>(
               granted[static_cast<std::size_t>(flow.id)])];
           if (b - alive_sum > worst.score) {
@@ -136,16 +139,19 @@ TePolicy solve_cvar(const TeProblem& problem, const ScenarioSet& scenarios,
   const double flow_weight = 1.0 / static_cast<double>(flows.size());
   add_capacity_rows(model, problem, alloc);
 
-  using Key = std::pair<int, std::size_t>;
-  RowGenerator<Key> rows(model, [&](const Key& key) {
-    const FailureScenario& q = scenarios.scenarios[key.second];
-    add_cvar_row(model, problem, alloc, var_t, key.first, q.fiber_failed,
-                 q.probability * flow_weight / tail);
-  });
+  const auto& Q = scenarios.scenarios;
+  const SurvivalIndex survival(problem, Q);
+  using Key = FlowGroupKey;
+  RowGenerator<Key> rows(
+      model, flows.size() * Q.size(), flow_group_ids(Q.size()),
+      [&](const Key& key) {
+        add_cvar_row(model, problem, alloc, var_t, survival, key.first,
+                     key.second, Q[key.second].probability * flow_weight / tail);
+      });
   // Seed with the highest-probability (usually no-failure) scenario.
   for (const net::Flow& flow : flows) rows.add({flow.id, 0});
   const auto result = rows.run(
-      {}, {}, scenarios.scenarios.size(),
+      {}, {}, Q.size(),
       [&](const lp::Solution& sol, std::size_t q,
           std::vector<RowCandidate<Key>>& out) {
         constexpr double kTol = 1e-6;
@@ -154,8 +160,7 @@ TePolicy solve_cvar(const TeProblem& problem, const ScenarioSet& scenarios,
           if (rows.has({flow.id, q})) continue;  // s var absorbs it
           const double violation =
               1.0 -
-              surviving_fraction(problem, alloc, sol.x, flow.id,
-                                 scenarios.scenarios[q].fiber_failed) -
+              surviving_fraction(problem, alloc, sol.x, survival, flow.id, q) -
               t_val;
           if (violation > kTol) out.push_back({violation, {flow.id, q}});
         }

@@ -54,12 +54,13 @@ double subproblem_value(const TeProblem& problem, const ScenarioSet& set,
   const std::vector<int> alloc = add_allocation_variables(sp, problem);
   const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
   add_capacity_rows(sp, problem, alloc);
+  const SurvivalIndex survival(problem, set.scenarios);
   for (const net::Flow& flow : *problem.flows) {
     for (std::size_t q = 0; q < set.scenarios.size(); ++q) {
       if (!delta[static_cast<std::size_t>(flow.id)][q]) continue;
-      std::vector<lp::Coefficient> coefs = surviving_coefficients(
-          problem, alloc, flow.id, set.scenarios[q].fiber_failed,
-          1.0 / demand_floor(problem, flow.id));
+      std::vector<lp::Coefficient> coefs =
+          surviving_coefficients(alloc, survival, flow.id, q,
+                                 1.0 / demand_floor(problem, flow.id));
       coefs.push_back({phi, 1.0});
       sp.add_row(std::move(coefs), lp::RowType::kGreaterEqual, 1.0);
     }

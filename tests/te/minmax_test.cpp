@@ -189,6 +189,7 @@ TEST(MinMaxBendersTest, EvaluatedPhiIsCertifiedByConvergedSolve) {
     // probability budget outside the fatal pins, and every kept pair's loss
     // is within phi.
     const auto& Q = set.scenarios;
+    const SurvivalIndex survival(fx.problem, Q);
     ASSERT_EQ(result.delta.size(), fx.problem.flows->size());
     for (const net::Flow& flow : *fx.problem.flows) {
       const std::vector<char>& kept =
@@ -197,10 +198,7 @@ TEST(MinMaxBendersTest, EvaluatedPhiIsCertifiedByConvergedSolve) {
       double dropped = 0.0;
       for (std::size_t q = 0; q < Q.size(); ++q) {
         if (kept[q] == 0) {
-          bool fatal = true;
-          for_each_surviving(fx.problem, flow.id, Q[q].fiber_failed,
-                             [&](net::TunnelId) { fatal = false; });
-          if (!fatal) dropped += Q[q].probability;
+          if (!survival.fatal(flow.id, q)) dropped += Q[q].probability;
           continue;
         }
         const auto losses = flow_losses(fx.problem, result.policy, Q[q]);

@@ -37,11 +37,13 @@ struct ToyLp {
   static double weight(int k) { return 1.0 + k / 1000.0; }
 
   RowGenerator<int> generator() {
-    return RowGenerator<int>(model, [this](const int& k) {
-      const int s = model.add_variable(0.0, 1.0, weight(k));
-      model.add_row({{s, 1.0}, {x[static_cast<std::size_t>(k)], 1.0}},
-                    lp::RowType::kGreaterEqual, 1.0);
-    });
+    return RowGenerator<int>(
+        model, kKeys, [](const int& k) { return static_cast<std::size_t>(k); },
+        [this](const int& k) {
+          const int s = model.add_variable(0.0, 1.0, weight(k));
+          model.add_row({{s, 1.0}, {x[static_cast<std::size_t>(k)], 1.0}},
+                        lp::RowType::kGreaterEqual, 1.0);
+        });
   }
 
   // One pricing group per key: violated while missing and x_k < 1.
@@ -166,6 +168,9 @@ TEST(RowGenerationTest, ReplayStopsAtFirstRefusedKeyAndTruncates) {
                   [&](const int& key) { return key != refused; });
   // Keys past the refused one are not replayed, even admissible ones.
   ASSERT_EQ(rows.keys().size(), kAdmitted);
+  for (std::size_t i = 0; i < cold.keys.size(); ++i) {
+    EXPECT_EQ(rows.has(cold.keys[i]), i < kAdmitted) << "key " << cold.keys[i];
+  }
   EXPECT_EQ(second.model.num_rows(), 1 + static_cast<int>(kAdmitted));
   EXPECT_EQ(second.model.num_variables(),
             ToyLp::kKeys + static_cast<int>(kAdmitted));
