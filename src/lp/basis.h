@@ -17,24 +17,25 @@ namespace prete::lp {
 // the O(m^2) BTRAN/FTRAN passes, which dominates everything on TWAN-scale
 // masters.
 //
-// kEtaFile is the product-form-of-inverse kernel: the dense inverse is only
+// kEtaFile is the product-form-of-inverse kernel: the inverse is only
 // materialized at reinversion points (the "anchor"), and the pivots since
 // then live as an eta file — one sparse pivot column per pivot, applied in
 // sequence during FTRAN and in reverse during BTRAN. A pivot costs
-// O(nnz(w)) instead of O(m^2), and the anchor is rebuilt by a single-pass
-// in-place Gauss-Jordan (half the arithmetic of the historical widened
-// (B | I) sweep — reinversion dominates TWAN-scale masters, so this is
-// where the kernel banks most of its win). The eta file is collapsed back
-// into a fresh anchor every `refactor_interval` pivots, or early when an
-// appended eta's magnitude spread signals numerical drift of the product
-// form.
+// O(nnz(w)) instead of O(m^2). The eta file is collapsed back into a fresh
+// anchor every `refactor_interval` pivots, or early when an appended eta's
+// magnitude spread signals numerical drift of the product form.
 //
 // The eta kernel's anchor itself has two representations, auto-selected by
 // basis dimension at every refactorize/reset: below `lu_threshold` rows the
-// explicit dense inverse above; at or above it a Markowitz-ordered sparse LU
-// factorization (lp::LuFactorization) whose memory and reinversion cost
-// track the basis nonzero count instead of m^2 — the regime of the
-// thousand-row continental masters. Both anchors feed the same eta file.
+// explicit inverse, at or above it a Markowitz-ordered sparse LU
+// factorization (lp::LuFactorization) — the regime of the thousand-row
+// continental masters. Both anchors feed the same eta file. The explicit
+// inverse of a TE basis is about 3% nonzero, so it is kept sparse (CSR and
+// CSC) and rebuilt by an in-place Gauss-Jordan that updates each row only at
+// the pivot row's nonzeros. Every kernel operation then costs in proportion
+// to the nonzeros it combines, with each surviving term in the order of the
+// dense sweep it replaces: the skipped terms are exact zeros, so results
+// match the dense sweep bit for bit (up to the sign of a zero).
 enum class BasisKernel : std::uint8_t { kDenseBinv, kEtaFile };
 
 // The basis-inverse state shared by both kernels. One instance serves one
@@ -68,16 +69,16 @@ class BasisState {
   bool anchor_is_lu() const { return anchor_is_lu_; }
 
   // Resets to the inverse of a +-1 diagonal basis (the all-artificial cold
-  // start): rows_ = diag(signs). Clears the eta file.
+  // start): B^-1 = diag(signs). Clears the eta file.
   void reset_diagonal(int m, const std::vector<double>& signs);
 
-  // Rebuilds the dense anchor inverse from the current basis columns —
-  // the historical widened (B | I) Gauss-Jordan for the dense kernel, the
-  // single-pass in-place variant for the eta kernel (same pivot sequence,
-  // half the arithmetic) — and clears the eta file. `basis_columns[r]` is
-  // the sparse column basic in row r. Returns false on a numerically
-  // singular basis (state then undefined until the next successful
-  // refactorize or reset).
+  // Rebuilds the anchor from the current basis columns — the historical
+  // widened (B | I) Gauss-Jordan for the dense kernel; for the eta kernel
+  // the sparse LU, or the sparse single-pass in-place Gauss-Jordan (same
+  // pivot sequence and per-entry arithmetic as the dense sweep) — and clears
+  // the eta file. `basis_columns[r]` is the sparse column basic in row r.
+  // Returns false on a numerically singular basis (state then undefined
+  // until the next successful refactorize or reset).
   bool refactorize(const std::vector<const std::vector<Coefficient>*>& basis_columns);
 
   // Restarts the periodic-reinversion pivot counter (the engine calls this
@@ -93,6 +94,8 @@ class BasisState {
   void btran(const std::vector<double>& v, std::vector<double>& y) const;
 
   // rho = e_r^T B^-1, row r of the current inverse — the devex pivot row.
+  // The eta kernel's reverse pass tracks the nonzero rows of the work
+  // vector and reads each eta only where they meet its entries.
   void pivot_row(int r, std::vector<double>& rho) const;
 
   // x = B^-1 v for a dense column vector v (basic-value recomputation).
@@ -117,7 +120,24 @@ class BasisState {
   // Magnitude spread beyond which an appended eta forces early reinversion.
   static constexpr double kDriftThreshold = 1e7;
 
+  // A compressed sparse matrix: major line i (a row for CSR, a column for
+  // CSC) holds idx/val[start[i] .. start[i + 1]), in ascending index order.
+  struct Compressed {
+    std::vector<int> start;
+    std::vector<int> idx;
+    std::vector<double> val;
+  };
+
   void clear_etas();
+  // The eta kernel's explicit-anchor reinversion; false on a singular basis.
+  bool invert_sparse(
+      const std::vector<const std::vector<Coefficient>*>& basis_columns);
+  // Returns the Gauss-Jordan workspace to all-zero, touching only the
+  // entries its patterns list.
+  void clear_workspace();
+  // out = in^T for an m x m compressed matrix (out's lines come out in
+  // ascending index order).
+  void transpose(const Compressed& in, Compressed& out);
 
   int m_ = 0;
   BasisKernel kernel_ = BasisKernel::kEtaFile;
@@ -131,28 +151,55 @@ class BasisState {
   LuFactorization lu_;
   util::Arena lu_arena_;
 
-  // Dense anchor inverse, row-major (BTRAN reads rows contiguously).
+  // Dense inverse, row-major: the kDenseBinv kernel's only representation.
   std::vector<double> rows_;
-  // Column-major mirror of the anchor, eta kernel only (FTRAN reads columns
-  // contiguously; the dense kernel keeps its historical strided access).
-  std::vector<double> cols_;
-  // Row swap chosen at each in-place Gauss-Jordan step (eta reinversion
-  // only), undone as column swaps once the sweep finishes.
+  // Explicit anchor inverse of the eta kernel (m < lu_threshold_), exact
+  // zeros dropped: by row (BTRAN, apply_inverse, pivot_row) and by column
+  // (FTRAN).
+  Compressed inv_rows_;
+  Compressed inv_cols_;
+
+  // Sparse Gauss-Jordan workspace (eta reinversion). gj_val_/gj_present_
+  // are m x m, indexed by (physical row, column), and all-zero between
+  // reinversions; gj_row_cols_/gj_col_rows_ list the present entries by
+  // row and by column. Row swaps only exchange gj_phys_/gj_logical_
+  // (logical position <-> physical row); pivot_rows_ records the logical
+  // row chosen at each step, undone as a column permutation at the end.
+  std::vector<double> gj_val_;
+  std::vector<unsigned char> gj_present_;
+  std::vector<std::vector<int>> gj_row_cols_;
+  std::vector<std::vector<int>> gj_col_rows_;
+  std::vector<int> gj_phys_;
+  std::vector<int> gj_logical_;
+  std::vector<int> gj_pivot_nz_;
   std::vector<int> pivot_rows_;
+  std::vector<int> perm_;
+  Compressed unsorted_;  // anchor rows before the column sort
 
   // Flat eta file: eta k pivots on row eta_row_[k] with 1/pivot
   // eta_pivot_inv_[k]; its off-pivot nonzeros live in
-  // eta_idx_/eta_val_[eta_start_[k] .. eta_start_[k + 1]).
+  // eta_idx_/eta_val_[eta_start_[k] .. eta_start_[k + 1]), ascending. The
+  // entries of each row are also chained newest first: eta_head_[i] is row
+  // i's latest entry and eta_next_[p] the one before entry p (-1 ends);
+  // eta_row_before_[k] is row eta_row_[k]'s latest entry in an earlier eta,
+  // where that row's chain walk starts once eta k makes it nonzero.
   std::vector<int> eta_row_;
   std::vector<double> eta_pivot_inv_;
   std::vector<int> eta_start_;
   std::vector<int> eta_idx_;
   std::vector<double> eta_val_;
+  std::vector<int> eta_head_;
+  std::vector<int> eta_next_;
+  std::vector<int> eta_row_before_;
 
-  // Scratch for BTRAN-style passes that transform a copy of the input.
+  // Scratch for BTRAN-style passes that transform a copy of the input; in
+  // pivot_row also the ascending nonzero rows of that copy and each such
+  // row's position in its eta chain.
   mutable std::vector<double> scratch_;
+  mutable std::vector<int> support_;
+  mutable std::vector<int> cursor_;
 
-  // Member scratch buffers for the dense refactorization paths, reused
+  // Member scratch buffers for the dense kernel's refactorization, reused
   // across reinversions (swapped with rows_, never moved from — a move
   // would steal the buffer back out and reintroduce the per-reinversion
   // O(m^2) allocation this exists to remove).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
 
 namespace prete::lp {
@@ -24,6 +25,101 @@ struct RowRef {
 
 }  // namespace
 
+void ColumnQueue::reset(const std::vector<int>& counts) {
+  const int m = static_cast<int>(counts.size());
+  count_ = counts;
+  heap_.resize(static_cast<std::size_t>(m));
+  pos_.resize(static_cast<std::size_t>(m));
+  for (int c = 0; c < m; ++c) place(c, c);
+  for (int slot = m / 2 - 1; slot >= 0; --slot) sift_down(slot);
+}
+
+void ColumnQueue::increment(int c) {
+  ++count_[static_cast<std::size_t>(c)];
+  if (active(c)) sift_down(pos_[static_cast<std::size_t>(c)]);
+}
+
+void ColumnQueue::decrement(int c) {
+  --count_[static_cast<std::size_t>(c)];
+  if (active(c)) sift_up(pos_[static_cast<std::size_t>(c)]);
+}
+
+void ColumnQueue::retire(int c) {
+  const int slot = pos_[static_cast<std::size_t>(c)];
+  if (slot < 0) return;
+  pos_[static_cast<std::size_t>(c)] = -1;
+  const int last = heap_.back();
+  heap_.pop_back();
+  if (last == c) return;
+  place(slot, last);
+  sift_up(slot);
+  sift_down(pos_[static_cast<std::size_t>(last)]);
+}
+
+int ColumnQueue::smallest(int k, int* out) const {
+  // Best-first walk down the heap: the next smallest column is always the
+  // least of the frontier (children of the columns already taken), which
+  // holds at most one slot more than the columns taken so far.
+  const int size = static_cast<int>(heap_.size());
+  k = std::min(k, kMaxPick);
+  int frontier[kMaxPick + 1];
+  int open = 0;
+  if (size > 0) frontier[open++] = 0;
+  int taken = 0;
+  while (taken < k && open > 0) {
+    int best = 0;
+    for (int i = 1; i < open; ++i) {
+      if (less(heap_[static_cast<std::size_t>(frontier[i])],
+               heap_[static_cast<std::size_t>(frontier[best])])) {
+        best = i;
+      }
+    }
+    const int slot = frontier[best];
+    frontier[best] = frontier[--open];
+    out[taken++] = heap_[static_cast<std::size_t>(slot)];
+    for (int child = 2 * slot + 1; child <= 2 * slot + 2; ++child) {
+      if (child < size) frontier[open++] = child;
+    }
+  }
+  return taken;
+}
+
+void ColumnQueue::place(int slot, int c) {
+  heap_[static_cast<std::size_t>(slot)] = c;
+  pos_[static_cast<std::size_t>(c)] = slot;
+}
+
+void ColumnQueue::sift_up(int slot) {
+  const int c = heap_[static_cast<std::size_t>(slot)];
+  while (slot > 0) {
+    const int parent = (slot - 1) / 2;
+    const int p = heap_[static_cast<std::size_t>(parent)];
+    if (!less(c, p)) break;
+    place(slot, p);
+    slot = parent;
+  }
+  place(slot, c);
+}
+
+void ColumnQueue::sift_down(int slot) {
+  const int size = static_cast<int>(heap_.size());
+  const int c = heap_[static_cast<std::size_t>(slot)];
+  while (true) {
+    int child = 2 * slot + 1;
+    if (child >= size) break;
+    if (child + 1 < size &&
+        less(heap_[static_cast<std::size_t>(child + 1)],
+             heap_[static_cast<std::size_t>(child)])) {
+      ++child;
+    }
+    const int q = heap_[static_cast<std::size_t>(child)];
+    if (!less(q, c)) break;
+    place(slot, q);
+    slot = child;
+  }
+  place(slot, c);
+}
+
 void LuFactorization::reset_diagonal(int m, const std::vector<double>& signs) {
   m_ = m;
   pr_.resize(static_cast<std::size_t>(m));
@@ -43,6 +139,7 @@ void LuFactorization::reset_diagonal(int m, const std::vector<double>& signs) {
   u_val_.clear();
   stats_.nnz_input = m;
   stats_.nnz_factors = m;
+  index_steps();
 }
 
 bool LuFactorization::factorize(
@@ -71,7 +168,6 @@ bool LuFactorization::factorize(
   row_count_.assign(static_cast<std::size_t>(m), 0);
   col_count_.assign(static_cast<std::size_t>(m), 0);
   row_active_.assign(static_cast<std::size_t>(m), 1);
-  col_active_.assign(static_cast<std::size_t>(m), 1);
   col_scale_.assign(static_cast<std::size_t>(m), 0.0);
 
   int nnz = 0;
@@ -79,6 +175,7 @@ bool LuFactorization::factorize(
     for (const Coefficient& entry : *basis_columns[static_cast<std::size_t>(c)]) {
       if (entry.value == 0.0) continue;
       ++row_count_[static_cast<std::size_t>(entry.var)];
+      ++col_count_[static_cast<std::size_t>(c)];
       ++nnz;
       const double mag = std::abs(entry.value);
       if (mag > col_scale_[static_cast<std::size_t>(c)]) {
@@ -107,9 +204,9 @@ bool LuFactorization::factorize(
       RowRef& row = rows[entry.var];
       row.data[row.len++] = {c, entry.value};
       col_rows[static_cast<std::size_t>(c)].push_back(entry.var);
-      ++col_count_[static_cast<std::size_t>(c)];
     }
   }
+  columns_.reset(col_count_);
 
   spa_val_.assign(static_cast<std::size_t>(m), 0.0);
   spa_mark_.assign(static_cast<std::size_t>(m), 0);
@@ -128,22 +225,10 @@ bool LuFactorization::factorize(
 
   for (int k = 0; k < m; ++k) {
     // Candidate columns: the kSearchColumns active columns with the smallest
-    // (col_count, index), by insertion sort over one linear scan.
-    int num_candidates = 0;
-    for (int c = 0; c < m; ++c) {
-      if (!col_active_[static_cast<std::size_t>(c)]) continue;
-      int pos = num_candidates;
-      while (pos > 0 &&
-             col_count_[static_cast<std::size_t>(candidates[pos - 1])] >
-                 col_count_[static_cast<std::size_t>(c)]) {
-        --pos;
-      }
-      if (pos >= kSearchColumns) continue;
-      const int last = std::min(num_candidates, kSearchColumns - 1);
-      for (int q = last; q > pos; --q) candidates[q] = candidates[q - 1];
-      candidates[pos] = c;
-      if (num_candidates < kSearchColumns) ++num_candidates;
-    }
+    // (col_count, index), in that order. Most steps settle on the first (a
+    // zero-cost pivot ends the search), so the others are read only once
+    // the search gets past it.
+    int num_candidates = columns_.smallest(1, candidates);
     if (num_candidates == 0) return false;
 
     // Markowitz pick with threshold partial pivoting.
@@ -154,11 +239,11 @@ bool LuFactorization::factorize(
     double best_val = 0.0;
     for (int cand = 0; cand < num_candidates; ++cand) {
       const int c = candidates[cand];
-      // Early exit: candidates are count-sorted, and (cc - 1) alone already
-      // bounds the achievable cost from below (row counts are >= 1).
-      const long long cc =
-          static_cast<long long>(col_count_[static_cast<std::size_t>(c)]);
-      if (best_row >= 0 && (cc - 1) * 0 >= best_cost) break;
+      // Early exit once a zero-cost pivot is found: no later candidate can
+      // cost less. (A later zero-cost entry of larger magnitude is not
+      // examined, so the pick stays in the earlier column.)
+      if (best_row >= 0 && best_cost <= 0) break;
+      const long long cc = static_cast<long long>(columns_.count(c));
       double colmax = 0.0;
       const util::ArenaVector<int>& adj = col_rows[static_cast<std::size_t>(c)];
       for (std::size_t p = 0; p < adj.size(); ++p) {
@@ -192,6 +277,9 @@ bool LuFactorization::factorize(
           best_val = val;
         }
       }
+      if (cand == 0 && best_cost > 0) {
+        num_candidates = columns_.smallest(kSearchColumns, candidates);
+      }
     }
     if (best_row < 0) return false;
 
@@ -215,10 +303,10 @@ bool LuFactorization::factorize(
 
     // Retire the pivot row and column from the active submatrix.
     row_active_[static_cast<std::size_t>(prow)] = 0;
+    columns_.retire(pcol);
     for (int p = 0; p < pivot_row.len; ++p) {
-      --col_count_[static_cast<std::size_t>(pivot_row.data[p].col)];
+      columns_.decrement(pivot_row.data[p].col);
     }
-    col_active_[static_cast<std::size_t>(pcol)] = 0;
 
     // Eliminate: every remaining row with a nonzero in the pivot column is
     // updated through the sparse accumulator and rewritten as a fresh arena
@@ -255,7 +343,7 @@ bool LuFactorization::factorize(
           spa_val_[static_cast<std::size_t>(c)] = -delta;
           spa_cols_.push_back(c);
           col_rows[static_cast<std::size_t>(c)].push_back(i);
-          ++col_count_[static_cast<std::size_t>(c)];
+          columns_.increment(c);
         }
       }
       const int new_len = static_cast<int>(spa_cols_.size());
@@ -273,41 +361,131 @@ bool LuFactorization::factorize(
 
   stats_.nnz_factors =
       static_cast<int>(l_idx_.size() + u_idx_.size()) + m;
+  index_steps();
   return true;
+}
+
+namespace {
+
+// out = the steps of a per-step index list, regrouped by the step that owns
+// each index (step_of): line j lists, ascending, the steps k whose list
+// holds an index owned by step j.
+void transpose_steps(const std::vector<int>& start, const std::vector<int>& idx,
+                     const std::vector<int>& step_of, std::vector<int>& out_start,
+                     std::vector<int>& out_step) {
+  const std::size_t m = step_of.size();
+  out_start.assign(m + 2, 0);
+  for (const int i : idx) {
+    ++out_start[static_cast<std::size_t>(step_of[static_cast<std::size_t>(i)]) + 2];
+  }
+  for (std::size_t j = 2; j < out_start.size(); ++j) out_start[j] += out_start[j - 1];
+  out_step.resize(idx.size());
+  for (std::size_t k = 0; k + 1 < start.size(); ++k) {
+    for (int p = start[k]; p < start[k + 1]; ++p) {
+      const int j = step_of[static_cast<std::size_t>(idx[static_cast<std::size_t>(p)])];
+      out_step[static_cast<std::size_t>(out_start[static_cast<std::size_t>(j) + 1]++)] =
+          static_cast<int>(k);
+    }
+  }
+  out_start.pop_back();
+}
+
+}  // namespace
+
+void LuFactorization::index_steps() {
+  const std::size_t m = static_cast<std::size_t>(m_);
+  row_step_.resize(m);
+  col_step_.resize(m);
+  for (std::size_t k = 0; k < pr_.size(); ++k) {
+    row_step_[static_cast<std::size_t>(pr_[k])] = static_cast<int>(k);
+    col_step_[static_cast<std::size_t>(pc_[k])] = static_cast<int>(k);
+  }
+  transpose_steps(l_start_, l_idx_, row_step_, l_by_row_start_, l_by_row_step_);
+  transpose_steps(u_start_, u_idx_, col_step_, u_by_col_start_, u_by_col_step_);
+  step_mark_.assign(m, 0);
+  stamp_ = 0;
+  sparse_work_.assign(m, 0.0);
+}
+
+void LuFactorization::new_pass() const {
+  pending_.clear();
+  if (++stamp_ == 0) {  // wrapped: forget every old mark
+    std::fill(step_mark_.begin(), step_mark_.end(), 0);
+    stamp_ = 1;
+  }
+}
+
+template <typename Order>
+void LuFactorization::schedule(int k, Order order) const {
+  int& mark = step_mark_[static_cast<std::size_t>(k)];
+  if (mark == stamp_) return;
+  mark = stamp_;
+  pending_.push_back(k);
+  std::push_heap(pending_.begin(), pending_.end(), order);
+}
+
+template <typename Order>
+int LuFactorization::next_step(Order order) const {
+  std::pop_heap(pending_.begin(), pending_.end(), order);
+  const int k = pending_.back();
+  pending_.pop_back();
+  return k;
 }
 
 void LuFactorization::ftran(const std::vector<Coefficient>& a,
                             std::vector<double>& w) const {
-  work_.assign(static_cast<std::size_t>(m_), 0.0);
+  // Hypersparse: each pass visits only the steps its nonzeros reach, in the
+  // order of the dense pass, and repeats that pass's arithmetic on them. An
+  // unvisited step's dense-pass result is a zero.
+  const std::greater<int> ascending;
+  const std::less<int> descending;
+  std::vector<double>& work = sparse_work_;
+  new_pass();
   for (const Coefficient& entry : a) {
-    work_[static_cast<std::size_t>(entry.var)] = entry.value;
+    work[static_cast<std::size_t>(entry.var)] = entry.value;
+    schedule(row_step_[static_cast<std::size_t>(entry.var)], ascending);
   }
-  // Forward pass (L): replay the elimination's row operations on the rhs.
-  // Zero pivot-row values skip their scatter, so a sparse rhs stays sparse
-  // through the triangular solve.
-  const std::size_t steps = pr_.size();
-  for (std::size_t k = 0; k < steps; ++k) {
-    const double t = work_[static_cast<std::size_t>(pr_[k])];
+  // Forward pass (L), ascending: replay the elimination's row operations on
+  // the rhs; a scatter into row i schedules i's (later) step.
+  visited_.clear();
+  while (!pending_.empty()) {
+    const int k = next_step(ascending);
+    const double t = work[static_cast<std::size_t>(pr_[static_cast<std::size_t>(k)])];
     if (t == 0.0) continue;
-    const int begin = l_start_[k];
-    const int end = l_start_[k + 1];
+    visited_.push_back(k);
+    const int begin = l_start_[static_cast<std::size_t>(k)];
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
     for (int p = begin; p < end; ++p) {
-      work_[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])] -=
-          l_val_[static_cast<std::size_t>(p)] * t;
+      const int i = l_idx_[static_cast<std::size_t>(p)];
+      work[static_cast<std::size_t>(i)] -= l_val_[static_cast<std::size_t>(p)] * t;
+      schedule(row_step_[static_cast<std::size_t>(i)], ascending);
     }
   }
-  // Back substitution (U), in reverse pivot order: every off-pivot column of
-  // U row k is a later pivot column, already solved.
+  // Back substitution (U), descending: every off-pivot column of U row k is
+  // a later pivot column, already solved; a nonzero solved at step j
+  // schedules the (earlier) steps whose U rows hold column pc_j.
   w.assign(static_cast<std::size_t>(m_), 0.0);
-  for (std::size_t k = steps; k-- > 0;) {
-    double sum = work_[static_cast<std::size_t>(pr_[k])];
-    const int begin = u_start_[k];
-    const int end = u_start_[k + 1];
+  new_pass();
+  for (const int k : visited_) schedule(k, descending);
+  while (!pending_.empty()) {
+    const int k = next_step(descending);
+    double& rhs = work[static_cast<std::size_t>(pr_[static_cast<std::size_t>(k)])];
+    double sum = rhs;
+    rhs = 0.0;  // read for the last time: return the scratch to zero
+    const int begin = u_start_[static_cast<std::size_t>(k)];
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
     for (int p = begin; p < end; ++p) {
       const double xc = w[static_cast<std::size_t>(u_idx_[static_cast<std::size_t>(p)])];
       if (xc != 0.0) sum -= u_val_[static_cast<std::size_t>(p)] * xc;
     }
-    w[static_cast<std::size_t>(pc_[k])] = sum * piv_inv_[k];
+    const double x = sum * piv_inv_[static_cast<std::size_t>(k)];
+    w[static_cast<std::size_t>(pc_[static_cast<std::size_t>(k)])] = x;
+    if (x == 0.0) continue;
+    const int ub = u_by_col_start_[static_cast<std::size_t>(k)];
+    const int ue = u_by_col_start_[static_cast<std::size_t>(k) + 1];
+    for (int p = ub; p < ue; ++p) {
+      schedule(u_by_col_step_[static_cast<std::size_t>(p)], descending);
+    }
   }
 }
 
@@ -366,6 +544,66 @@ void LuFactorization::btran(const std::vector<double>& v,
            y[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])];
     }
     y[static_cast<std::size_t>(pr_[k])] = s;
+  }
+}
+
+void LuFactorization::btran_sparse(const std::vector<double>& v,
+                                   const std::vector<int>& nonzeros,
+                                   std::vector<double>& y) const {
+  // The passes of btran() restricted, as in ftran(), to the steps the
+  // nonzeros reach.
+  const std::greater<int> ascending;
+  const std::less<int> descending;
+  std::vector<double>& work = sparse_work_;
+  y.assign(static_cast<std::size_t>(m_), 0.0);
+  new_pass();
+  for (const int c : nonzeros) {
+    const double vc = v[static_cast<std::size_t>(c)];
+    if (vc == 0.0) continue;
+    work[static_cast<std::size_t>(c)] = vc;
+    schedule(col_step_[static_cast<std::size_t>(c)], ascending);
+  }
+  // U^T, ascending: a nonzero z at step k updates the later pivot columns
+  // of U row k.
+  visited_.clear();
+  while (!pending_.empty()) {
+    const int k = next_step(ascending);
+    double& rhs = work[static_cast<std::size_t>(pc_[static_cast<std::size_t>(k)])];
+    const double z = rhs * piv_inv_[static_cast<std::size_t>(k)];
+    rhs = 0.0;  // read for the last time: return the scratch to zero
+    y[static_cast<std::size_t>(pr_[static_cast<std::size_t>(k)])] = z;
+    if (z == 0.0) continue;
+    visited_.push_back(k);
+    const int begin = u_start_[static_cast<std::size_t>(k)];
+    const int end = u_start_[static_cast<std::size_t>(k) + 1];
+    for (int p = begin; p < end; ++p) {
+      const int c = u_idx_[static_cast<std::size_t>(p)];
+      work[static_cast<std::size_t>(c)] -= u_val_[static_cast<std::size_t>(p)] * z;
+      schedule(col_step_[static_cast<std::size_t>(c)], ascending);
+    }
+  }
+  // L^T, descending: step k gathers from the rows its L column holds; a
+  // nonzero at row pr_j schedules the (earlier) steps whose L columns hold
+  // that row.
+  new_pass();
+  for (const int k : visited_) schedule(k, descending);
+  while (!pending_.empty()) {
+    const int k = next_step(descending);
+    const std::size_t row = static_cast<std::size_t>(pr_[static_cast<std::size_t>(k)]);
+    double s = y[row];
+    const int begin = l_start_[static_cast<std::size_t>(k)];
+    const int end = l_start_[static_cast<std::size_t>(k) + 1];
+    for (int p = begin; p < end; ++p) {
+      s -= l_val_[static_cast<std::size_t>(p)] *
+           y[static_cast<std::size_t>(l_idx_[static_cast<std::size_t>(p)])];
+    }
+    y[row] = s;
+    if (s == 0.0) continue;
+    const int lb = l_by_row_start_[static_cast<std::size_t>(k)];
+    const int le = l_by_row_start_[static_cast<std::size_t>(k) + 1];
+    for (int p = lb; p < le; ++p) {
+      schedule(l_by_row_step_[static_cast<std::size_t>(p)], descending);
+    }
   }
 }
 

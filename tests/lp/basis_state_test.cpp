@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -193,6 +194,278 @@ TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
         << "apply_inverse[" << i << "]";
   }
 }
+
+// Dense reference of the eta kernel with an explicit anchor: the in-place
+// Gauss-Jordan inverse of the anchor basis, stored and swept as a dense
+// m x m matrix, and the same product-form eta file. Every loop keeps the
+// operation order of the dense kernel the sparse anchor replaced, so the
+// kernel must match it bit for bit (the sparse sweeps skip only exact-zero
+// terms, which can at most flip the sign of a zero; == ignores that).
+class DenseReference {
+ public:
+  bool invert(const std::vector<std::vector<Coefficient>>& cols) {
+    m_ = static_cast<int>(cols.size());
+    const int m = m_;
+    std::vector<double> a(static_cast<std::size_t>(m) * m, 0.0);
+    std::vector<double> scale(static_cast<std::size_t>(m), 0.0);
+    for (int c = 0; c < m; ++c) {
+      for (const auto& entry : cols[static_cast<std::size_t>(c)]) {
+        a[at(entry.var, c)] = entry.value;
+        scale[static_cast<std::size_t>(c)] =
+            std::max(scale[static_cast<std::size_t>(c)], std::abs(entry.value));
+      }
+    }
+    std::vector<int> pivots(static_cast<std::size_t>(m));
+    for (int col = 0; col < m; ++col) {
+      int pivot = col;
+      double best = std::abs(a[at(col, col)]);
+      for (int r = col + 1; r < m; ++r) {
+        if (std::abs(a[at(r, col)]) > best) {
+          best = std::abs(a[at(r, col)]);
+          pivot = r;
+        }
+      }
+      if (best <= 1e-12 * scale[static_cast<std::size_t>(col)]) return false;
+      pivots[static_cast<std::size_t>(col)] = pivot;
+      for (int c = 0; c < m; ++c) std::swap(a[at(pivot, c)], a[at(col, c)]);
+      const double inv_piv = 1.0 / a[at(col, col)];
+      a[at(col, col)] = 1.0;
+      for (int c = 0; c < m; ++c) a[at(col, c)] *= inv_piv;
+      for (int r = 0; r < m; ++r) {
+        if (r == col) continue;
+        const double factor = a[at(r, col)];
+        if (factor == 0.0) continue;
+        a[at(r, col)] = 0.0;
+        for (int c = 0; c < m; ++c) a[at(r, c)] -= factor * a[at(col, c)];
+      }
+    }
+    for (int col = m - 1; col >= 0; --col) {
+      const int pivot = pivots[static_cast<std::size_t>(col)];
+      for (int r = 0; r < m; ++r) std::swap(a[at(r, pivot)], a[at(r, col)]);
+    }
+    inv_ = std::move(a);
+    etas_.clear();
+    return true;
+  }
+
+  void push(int r, const std::vector<double>& w) {
+    Eta eta{r, 1.0 / w[static_cast<std::size_t>(r)], {}, {}};
+    for (int i = 0; i < m_; ++i) {
+      if (i == r || w[static_cast<std::size_t>(i)] == 0.0) continue;
+      eta.idx.push_back(i);
+      eta.val.push_back(w[static_cast<std::size_t>(i)]);
+    }
+    etas_.push_back(std::move(eta));
+  }
+
+  std::vector<double> ftran(const std::vector<Coefficient>& a) const {
+    std::vector<double> w(static_cast<std::size_t>(m_), 0.0);
+    for (const auto& entry : a) {
+      if (entry.value == 0.0) continue;
+      for (int r = 0; r < m_; ++r) {
+        w[static_cast<std::size_t>(r)] += entry.value * inv_[at(r, entry.var)];
+      }
+    }
+    apply_etas(w);
+    return w;
+  }
+
+  std::vector<double> btran(std::vector<double> v) const {
+    for (std::size_t k = etas_.size(); k-- > 0;) {
+      const Eta& eta = etas_[k];
+      double s = v[static_cast<std::size_t>(eta.r)];
+      for (std::size_t p = 0; p < eta.idx.size(); ++p) {
+        s -= v[static_cast<std::size_t>(eta.idx[p])] * eta.val[p];
+      }
+      v[static_cast<std::size_t>(eta.r)] = s * eta.pivot_inv;
+    }
+    std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
+    for (int r = 0; r < m_; ++r) {
+      const double vr = v[static_cast<std::size_t>(r)];
+      if (vr == 0.0) continue;
+      for (int c = 0; c < m_; ++c) y[static_cast<std::size_t>(c)] += vr * inv_[at(r, c)];
+    }
+    return y;
+  }
+
+  std::vector<double> apply_inverse(const std::vector<double>& v) const {
+    std::vector<double> x(static_cast<std::size_t>(m_), 0.0);
+    for (int r = 0; r < m_; ++r) {
+      double acc = 0.0;
+      for (int c = 0; c < m_; ++c) acc += inv_[at(r, c)] * v[static_cast<std::size_t>(c)];
+      x[static_cast<std::size_t>(r)] = acc;
+    }
+    apply_etas(x);
+    return x;
+  }
+
+ private:
+  struct Eta {
+    int r;
+    double pivot_inv;
+    std::vector<int> idx;
+    std::vector<double> val;
+  };
+
+  std::size_t at(int r, int c) const {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(m_) +
+           static_cast<std::size_t>(c);
+  }
+
+  void apply_etas(std::vector<double>& w) const {
+    for (const Eta& eta : etas_) {
+      const double t = w[static_cast<std::size_t>(eta.r)] * eta.pivot_inv;
+      if (t != 0.0) {
+        for (std::size_t p = 0; p < eta.idx.size(); ++p) {
+          w[static_cast<std::size_t>(eta.idx[p])] -= eta.val[p] * t;
+        }
+      }
+      w[static_cast<std::size_t>(eta.r)] = t;
+    }
+  }
+
+  int m_ = 0;
+  std::vector<double> inv_;
+  std::vector<Eta> etas_;
+};
+
+// Random sparse nonsingular basis: a dominant diagonal in (2, 4) and up to
+// three small off-diagonals per column.
+std::vector<std::vector<Coefficient>> random_sparse_basis(int m, util::Rng& rng) {
+  std::vector<std::vector<Coefficient>> cols(static_cast<std::size_t>(m));
+  for (int c = 0; c < m; ++c) {
+    auto& col = cols[static_cast<std::size_t>(c)];
+    col.push_back({c, rng.uniform(2.0, 4.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0)});
+    const int extras = static_cast<int>(rng.next_below(4));
+    for (int e = 0; e < extras; ++e) {
+      const int r = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+      bool dup = false;
+      for (const auto& entry : col) dup = dup || entry.var == r;
+      if (!dup) col.push_back({r, rng.uniform(-0.5, 0.5)});
+    }
+  }
+  return cols;
+}
+
+std::vector<Coefficient> random_sparse_column(int m, util::Rng& rng) {
+  std::vector<Coefficient> a;
+  const int count = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < count; ++e) {
+    const int r = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+    bool dup = false;
+    for (const auto& entry : a) dup = dup || entry.var == r;
+    if (!dup) a.push_back({r, rng.uniform(-2.0, 2.0)});
+  }
+  return a;
+}
+
+std::vector<double> random_dense(int m, double density, util::Rng& rng) {
+  std::vector<double> v(static_cast<std::size_t>(m), 0.0);
+  for (auto& x : v) {
+    if (rng.bernoulli(density)) x = rng.uniform(-1.0, 1.0);
+  }
+  return v;
+}
+
+void expect_equal(const std::vector<double>& got, const std::vector<double>& want,
+                  const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << "[" << i << "]";
+  }
+}
+
+void expect_near(const std::vector<double>& got, const std::vector<double>& want,
+                 const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  double scale = 1.0;
+  for (const double x : want) scale = std::max(scale, std::abs(x));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], 1e-8 * scale) << what << "[" << i << "]";
+  }
+}
+
+class SparseAnchorProperty : public ::testing::TestWithParam<int> {};
+
+// Random sparse bases under both anchors, with eta files of 0-128 pivots
+// that revisit pivot rows: pivot_row(r) is BTRAN of e_r entry by entry, and
+// FTRAN, BTRAN and apply_inverse match the dense reference — bit for bit
+// under the explicit anchor, to rounding under the LU.
+TEST_P(SparseAnchorProperty, KernelMatchesDenseReference) {
+  for (const int lu_threshold : {INT_MAX, 1}) {
+    SCOPED_TRACE(lu_threshold == 1 ? "LU anchor" : "explicit anchor");
+    util::Rng rng(static_cast<std::uint64_t>(9100 + GetParam()));
+    const int m = 4 + static_cast<int>(rng.next_below(57));
+    auto cols = random_sparse_basis(m, rng);
+    BasisState basis;
+    basis.configure(BasisKernel::kEtaFile, 1 << 20, lu_threshold);
+    ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+    ASSERT_EQ(basis.anchor_is_lu(), lu_threshold == 1);
+    DenseReference reference;
+    ASSERT_TRUE(reference.invert(cols));
+
+    const int pivots = GetParam() % 4 == 0 ? 0
+                       : GetParam() % 4 == 1
+                           ? 1 + static_cast<int>(rng.next_below(3))
+                           : static_cast<int>(rng.next_below(129));
+    int last_row = -1;
+    int pushed = 0;
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    for (int k = 0; k < pivots; ++k) {
+      const auto a = random_sparse_column(m, rng);
+      basis.ftran(a, w);
+      // The largest |w_r| keeps the product form well conditioned; every
+      // third pivot revisits the last row when that pivot is usable.
+      int r = 0;
+      for (int i = 1; i < m; ++i) {
+        if (std::abs(w[static_cast<std::size_t>(i)]) >
+            std::abs(w[static_cast<std::size_t>(r)])) {
+          r = i;
+        }
+      }
+      if (k % 3 == 2 && last_row >= 0 &&
+          std::abs(w[static_cast<std::size_t>(last_row)]) >
+              0.1 * std::abs(w[static_cast<std::size_t>(r)])) {
+        r = last_row;
+      }
+      if (std::abs(w[static_cast<std::size_t>(r)]) < 1e-6) continue;
+      basis.update(r, w);
+      reference.push(r, w);
+      last_row = r;
+      ++pushed;
+    }
+    ASSERT_EQ(basis.eta_length(), pushed);
+
+    const bool exact = lu_threshold != 1;
+    const auto check = exact ? expect_equal : expect_near;
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto a = random_sparse_column(m, rng);
+      basis.ftran(a, w);
+      check(w, reference.ftran(a), "ftran");
+
+      const auto v = random_dense(m, trial == 0 ? 0.1 : 0.7, rng);
+      std::vector<double> y;
+      basis.btran(v, y);
+      check(y, reference.btran(v), "btran");
+
+      std::vector<double> x;
+      basis.apply_inverse(v, x);
+      check(x, reference.apply_inverse(v), "apply_inverse");
+    }
+    for (int r = 0; r < m; ++r) {
+      std::vector<double> unit(static_cast<std::size_t>(m), 0.0);
+      unit[static_cast<std::size_t>(r)] = 1.0;
+      std::vector<double> rho;
+      std::vector<double> y;
+      basis.pivot_row(r, rho);
+      basis.btran(unit, y);
+      expect_equal(rho, y, "pivot_row vs btran");
+      check(rho, reference.btran(unit), "pivot_row");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseAnchorProperty, ::testing::Range(1, 25));
 
 }  // namespace
 }  // namespace prete::lp

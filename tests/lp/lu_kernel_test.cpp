@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -122,6 +123,22 @@ TEST_P(LuFactorizationProperty, SolvesMatchTheMatrix) {
   std::vector<double> y;
   lu.btran(v, y);
   EXPECT_LT(btran_residual(cols, y, v), 1e-9);
+
+  // The hypersparse BTRAN agrees bitwise with the dense one on a sparse v
+  // (its pattern listing a few zeros too).
+  std::vector<double> sparse_v(static_cast<std::size_t>(m), 0.0);
+  std::vector<int> pattern;
+  for (int i = 0; i < m; ++i) {
+    if (!rng.bernoulli(0.15)) continue;
+    pattern.push_back(i);
+    if (rng.bernoulli(0.8)) sparse_v[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<double> y_dense;
+  std::vector<double> y_sparse;
+  lu.btran(sparse_v, y_dense);
+  lu.btran_sparse(sparse_v, pattern, y_sparse);
+  ASSERT_EQ(y_dense.size(), y_sparse.size());
+  for (std::size_t i = 0; i < y_dense.size(); ++i) EXPECT_EQ(y_sparse[i], y_dense[i]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LuFactorizationProperty, ::testing::Range(1, 20));
@@ -183,6 +200,73 @@ TEST(LuFactorizationTest, ResetDiagonalIsTrivialFactorization) {
   lu.btran(v, y);
   for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(y[i], v[i] * signs[i]);
 }
+
+// The linear scan ColumnQueue replaced: the k active columns with the
+// smallest (count, index), by insertion sort over every column.
+int scan_smallest(const std::vector<int>& count,
+                  const std::vector<unsigned char>& active, int k, int* out) {
+  int found = 0;
+  for (int c = 0; c < static_cast<int>(count.size()); ++c) {
+    if (!active[static_cast<std::size_t>(c)]) continue;
+    int pos = found;
+    while (pos > 0 && count[static_cast<std::size_t>(out[pos - 1])] >
+                          count[static_cast<std::size_t>(c)]) {
+      --pos;
+    }
+    if (pos >= k) continue;
+    const int last = std::min(found, k - 1);
+    for (int q = last; q > pos; --q) out[q] = out[q - 1];
+    out[pos] = c;
+    if (found < k) ++found;
+  }
+  return found;
+}
+
+class ColumnQueueProperty : public ::testing::TestWithParam<int> {};
+
+// Under random increments, decrements (of retired columns too, as the
+// elimination does for the pivot column) and retirements down to an empty
+// queue, over a narrow count range so that ties are the rule, the queue
+// picks exactly the columns and the order of the scan.
+TEST_P(ColumnQueueProperty, SmallestMatchesLinearScan) {
+  util::Rng rng(static_cast<std::uint64_t>(4400 + GetParam()));
+  const int m = 1 + static_cast<int>(rng.next_below(90));
+  std::vector<int> count(static_cast<std::size_t>(m));
+  for (auto& c : count) c = 1 + static_cast<int>(rng.next_below(5));
+  std::vector<unsigned char> active(static_cast<std::size_t>(m), 1);
+  ColumnQueue queue;
+  queue.reset(count);
+
+  for (int step = 0; step < 40 * m; ++step) {
+    const int c = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+    const auto op = rng.next_below(8);
+    if (op < 3) {
+      ++count[static_cast<std::size_t>(c)];
+      queue.increment(c);
+    } else if (op < 6) {
+      if (count[static_cast<std::size_t>(c)] == 0) continue;
+      --count[static_cast<std::size_t>(c)];
+      queue.decrement(c);
+    } else if (active[static_cast<std::size_t>(c)]) {
+      active[static_cast<std::size_t>(c)] = 0;
+      queue.retire(c);
+    }
+    ASSERT_EQ(queue.count(c), count[static_cast<std::size_t>(c)]);
+    ASSERT_EQ(queue.active(c), active[static_cast<std::size_t>(c)] != 0);
+    for (const int k : {1, 4, ColumnQueue::kMaxPick}) {
+      int want[ColumnQueue::kMaxPick];
+      int got[ColumnQueue::kMaxPick];
+      const int n_want = scan_smallest(count, active, k, want);
+      const int n_got = queue.smallest(k, got);
+      ASSERT_EQ(n_got, n_want) << "step " << step << " k " << k;
+      for (int i = 0; i < n_want; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "step " << step << " k " << k << " slot " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ColumnQueueProperty, ::testing::Range(1, 13));
 
 // ---------------------------------------------------------------------------
 // Solver-level equivalence of the three kernel configurations.
