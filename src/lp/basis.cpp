@@ -48,7 +48,7 @@ void BasisState::reset_diagonal(int m, const std::vector<double>& signs) {
 }
 
 bool BasisState::refactorize(
-    const std::vector<const std::vector<Coefficient>*>& basis_columns) {
+    const std::vector<std::span<const Coefficient>>& basis_columns) {
   const int m = static_cast<int>(basis_columns.size());
   m_ = m;
   anchor_is_lu_ = kernel_ == BasisKernel::kEtaFile && m >= lu_threshold_;
@@ -66,7 +66,7 @@ bool BasisState::refactorize(
     dense.assign(static_cast<std::size_t>(m) * m, 0.0);
     col_scale_.assign(static_cast<std::size_t>(m), 0.0);
     for (int c = 0; c < m; ++c) {
-      for (const auto& entry : *basis_columns[static_cast<std::size_t>(c)]) {
+      for (const auto& entry : basis_columns[static_cast<std::size_t>(c)]) {
         dense[static_cast<std::size_t>(entry.var) * m + c] = entry.value;
         const double mag = std::abs(entry.value);
         if (mag > col_scale_[static_cast<std::size_t>(c)]) {
@@ -130,7 +130,7 @@ bool BasisState::refactorize(
 }
 
 bool BasisState::invert_sparse(
-    const std::vector<const std::vector<Coefficient>*>& basis_columns) {
+    const std::vector<std::span<const Coefficient>>& basis_columns) {
   // Single-pass in-place Gauss-Jordan: the matrix gradually becomes its own
   // inverse (row swaps are undone as a column permutation at the end), in
   // the pivot sequence and per-entry arithmetic of the dense sweep. An entry
@@ -146,7 +146,7 @@ bool BasisState::invert_sparse(
   gj_col_rows_.resize(static_cast<std::size_t>(m));
   col_scale_.assign(static_cast<std::size_t>(m), 0.0);
   for (int c = 0; c < m; ++c) {
-    for (const auto& entry : *basis_columns[static_cast<std::size_t>(c)]) {
+    for (const auto& entry : basis_columns[static_cast<std::size_t>(c)]) {
       const std::size_t at = static_cast<std::size_t>(entry.var) * m + c;
       if (!gj_present_[at]) {
         gj_present_[at] = 1;
@@ -300,7 +300,7 @@ void BasisState::transpose(const Compressed& in, Compressed& out) {
   out.start.pop_back();
 }
 
-void BasisState::ftran(const std::vector<Coefficient>& a,
+void BasisState::ftran(std::span<const Coefficient> a,
                        std::vector<double>& w) const {
   if (kernel_ == BasisKernel::kDenseBinv) {
     std::fill(w.begin(), w.end(), 0.0);
@@ -398,10 +398,29 @@ void BasisState::btran(const std::vector<double>& v,
   }
 }
 
-void BasisState::pivot_row(int r, std::vector<double>& rho) const {
+namespace {
+
+// The indices of v's nonzeros, ascending. Every index is written and the
+// cursor advances past the nonzero ones, so the scan has no branch to
+// mispredict.
+void list_nonzeros(const std::vector<double>& v, std::vector<int>& nonzeros) {
+  nonzeros.resize(v.size());
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    nonzeros[count] = static_cast<int>(i);
+    count += v[i] != 0.0 ? 1 : 0;
+  }
+  nonzeros.resize(count);
+}
+
+}  // namespace
+
+void BasisState::pivot_row(int r, std::vector<double>& rho,
+                           std::vector<int>& nonzeros) const {
   if (kernel_ == BasisKernel::kDenseBinv) {
     rho.assign(rows_.begin() + static_cast<std::ptrdiff_t>(r) * m_,
                rows_.begin() + static_cast<std::ptrdiff_t>(r + 1) * m_);
+    list_nonzeros(rho, nonzeros);
     return;
   }
   // BTRAN of e_r. support_ lists, ascending, the rows of scratch_ that may
@@ -447,7 +466,7 @@ void BasisState::pivot_row(int r, std::vector<double>& rho) const {
     }
   }
   if (anchor_is_lu_) {
-    lu_.btran_sparse(scratch_, support_, rho);
+    lu_.btran_sparse(scratch_, support_, rho, nonzeros);
     return;
   }
   rho.assign(static_cast<std::size_t>(m_), 0.0);
@@ -461,6 +480,7 @@ void BasisState::pivot_row(int r, std::vector<double>& rho) const {
           vi * inv_rows_.val[static_cast<std::size_t>(p)];
     }
   }
+  list_nonzeros(rho, nonzeros);
 }
 
 void BasisState::apply_inverse(const std::vector<double>& v,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lp/lu.h"
@@ -79,7 +80,7 @@ class BasisState {
   // the eta file. `basis_columns[r]` is the sparse column basic in row r.
   // Returns false on a numerically singular basis (state then undefined
   // until the next successful refactorize or reset).
-  bool refactorize(const std::vector<const std::vector<Coefficient>*>& basis_columns);
+  bool refactorize(const std::vector<std::span<const Coefficient>>& basis_columns);
 
   // Restarts the periodic-reinversion pivot counter (the engine calls this
   // at the start of each simplex phase, mirroring the historical kernel's
@@ -87,16 +88,19 @@ class BasisState {
   void reset_refactor_counter() { pivots_since_refactor_ = 0; }
 
   // w = B^-1 a for a sparse column a. w is overwritten (size m).
-  void ftran(const std::vector<Coefficient>& a, std::vector<double>& w) const;
+  void ftran(std::span<const Coefficient> a, std::vector<double>& w) const;
 
   // y = v^T B^-1 for a dense row vector v. Zero entries of v skip their
   // anchor row; the eta transposes are applied in reverse order first.
   void btran(const std::vector<double>& v, std::vector<double>& y) const;
 
-  // rho = e_r^T B^-1, row r of the current inverse — the devex pivot row.
-  // The eta kernel's reverse pass tracks the nonzero rows of the work
-  // vector and reads each eta only where they meet its entries.
-  void pivot_row(int r, std::vector<double>& rho) const;
+  // rho = e_r^T B^-1, row r of the current inverse — the pivot row that
+  // drives pricing — and `nonzeros`, the indices of rho's nonzeros,
+  // ascending. The eta kernel's reverse pass tracks the nonzero rows of the
+  // work vector and reads each eta only where they meet its entries; the LU
+  // anchor's pass tracks rho's nonzeros as it goes, and the explicit
+  // anchor's scatter is followed by one scan of rho.
+  void pivot_row(int r, std::vector<double>& rho, std::vector<int>& nonzeros) const;
 
   // x = B^-1 v for a dense column vector v (basic-value recomputation).
   void apply_inverse(const std::vector<double>& v, std::vector<double>& x) const;
@@ -130,8 +134,7 @@ class BasisState {
 
   void clear_etas();
   // The eta kernel's explicit-anchor reinversion; false on a singular basis.
-  bool invert_sparse(
-      const std::vector<const std::vector<Coefficient>*>& basis_columns);
+  bool invert_sparse(const std::vector<std::span<const Coefficient>>& basis_columns);
   // Returns the Gauss-Jordan workspace to all-zero, touching only the
   // entries its patterns list.
   void clear_workspace();

@@ -143,7 +143,7 @@ void LuFactorization::reset_diagonal(int m, const std::vector<double>& signs) {
 }
 
 bool LuFactorization::factorize(
-    const std::vector<const std::vector<Coefficient>*>& basis_columns,
+    const std::vector<std::span<const Coefficient>>& basis_columns,
     util::Arena& arena) {
   const int m = static_cast<int>(basis_columns.size());
   m_ = m;
@@ -172,7 +172,7 @@ bool LuFactorization::factorize(
 
   int nnz = 0;
   for (int c = 0; c < m; ++c) {
-    for (const Coefficient& entry : *basis_columns[static_cast<std::size_t>(c)]) {
+    for (const Coefficient& entry : basis_columns[static_cast<std::size_t>(c)]) {
       if (entry.value == 0.0) continue;
       ++row_count_[static_cast<std::size_t>(entry.var)];
       ++col_count_[static_cast<std::size_t>(c)];
@@ -199,7 +199,7 @@ bool LuFactorization::factorize(
     col_rows.emplace_back(arena);
   }
   for (int c = 0; c < m; ++c) {
-    for (const Coefficient& entry : *basis_columns[static_cast<std::size_t>(c)]) {
+    for (const Coefficient& entry : basis_columns[static_cast<std::size_t>(c)]) {
       if (entry.value == 0.0) continue;
       RowRef& row = rows[entry.var];
       row.data[row.len++] = {c, entry.value};
@@ -432,7 +432,7 @@ int LuFactorization::next_step(Order order) const {
   return k;
 }
 
-void LuFactorization::ftran(const std::vector<Coefficient>& a,
+void LuFactorization::ftran(std::span<const Coefficient> a,
                             std::vector<double>& w) const {
   // Hypersparse: each pass visits only the steps its nonzeros reach, in the
   // order of the dense pass, and repeats that pass's arithmetic on them. An
@@ -549,7 +549,8 @@ void LuFactorization::btran(const std::vector<double>& v,
 
 void LuFactorization::btran_sparse(const std::vector<double>& v,
                                    const std::vector<int>& nonzeros,
-                                   std::vector<double>& y) const {
+                                   std::vector<double>& y,
+                                   std::vector<int>& y_nonzeros) const {
   // The passes of btran() restricted, as in ftran(), to the steps the
   // nonzeros reach.
   const std::greater<int> ascending;
@@ -584,7 +585,8 @@ void LuFactorization::btran_sparse(const std::vector<double>& v,
   }
   // L^T, descending: step k gathers from the rows its L column holds; a
   // nonzero at row pr_j schedules the (earlier) steps whose L columns hold
-  // that row.
+  // that row. Every nonzero of y is final at one of these steps.
+  y_nonzeros.clear();
   new_pass();
   for (const int k : visited_) schedule(k, descending);
   while (!pending_.empty()) {
@@ -599,12 +601,14 @@ void LuFactorization::btran_sparse(const std::vector<double>& v,
     }
     y[row] = s;
     if (s == 0.0) continue;
+    y_nonzeros.push_back(static_cast<int>(row));
     const int lb = l_by_row_start_[static_cast<std::size_t>(k)];
     const int le = l_by_row_start_[static_cast<std::size_t>(k) + 1];
     for (int p = lb; p < le; ++p) {
       schedule(l_by_row_step_[static_cast<std::size_t>(p)], descending);
     }
   }
+  std::sort(y_nonzeros.begin(), y_nonzeros.end());
 }
 
 }  // namespace prete::lp

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "lp/model.h"
@@ -85,14 +86,13 @@ class LuFactorization {
     int nnz_factors = 0;  // L + U off-diagonal entries + m pivots
   };
 
-  // Factorizes the m x m basis matrix whose column c is *basis_columns[c]
+  // Factorizes the m x m basis matrix whose column c is basis_columns[c]
   // (sparse (row, value) entries, zeros skipped). Returns false when the
   // basis is numerically singular — an active column's magnitude collapses
   // relative to its input scale (the relative test; see BasisState). On
   // failure the factorization is unusable until the next successful call.
-  bool factorize(
-      const std::vector<const std::vector<Coefficient>*>& basis_columns,
-      util::Arena& arena);
+  bool factorize(const std::vector<std::span<const Coefficient>>& basis_columns,
+                 util::Arena& arena);
 
   // Trivial factorization of diag(signs) (the all-artificial cold basis).
   void reset_diagonal(int m, const std::vector<double>& signs);
@@ -100,7 +100,7 @@ class LuFactorization {
   int dim() const { return m_; }
 
   // w = B^-1 a for a sparse column a; w is overwritten (resized to m).
-  void ftran(const std::vector<Coefficient>& a, std::vector<double>& w) const;
+  void ftran(std::span<const Coefficient> a, std::vector<double>& w) const;
 
   // x = B^-1 v for a dense column v; x is overwritten (resized to m). The
   // dense passes: every step in order.
@@ -110,9 +110,10 @@ class LuFactorization {
   void btran(const std::vector<double>& v, std::vector<double>& y) const;
 
   // btran() of a v whose nonzeros all lie at the listed indices: the same
-  // y, at a cost that tracks the steps those nonzeros reach.
+  // y, at a cost that tracks the steps those nonzeros reach. y_nonzeros
+  // receives the indices of y's nonzeros, ascending.
   void btran_sparse(const std::vector<double>& v, const std::vector<int>& nonzeros,
-                    std::vector<double>& y) const;
+                    std::vector<double>& y, std::vector<int>& y_nonzeros) const;
 
   const Stats& stats() const { return stats_; }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "lp/basis.h"
+#include "lp/merit_tree.h"
 
 namespace prete::lp {
 
@@ -59,13 +61,26 @@ enum class VarStatus { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 
 // Internal equality-form problem: columns = structural vars, slacks, and
 // artificials; every row is an equality. All costs are for minimization.
+//
+// The constraint matrix is held once per solve, flat, by column (CSC:
+// FTRAN, reinversion, reduced costs) and by row (CSR: the pivot row's
+// scatter), both filled in one pass over the model's rows. So each column
+// lists its rows ascending, and each row lists its structural columns in
+// the model's coefficient order, then its slack, then its artificial. The
+// artificial of row i keeps one entry in row i whose value is the
+// artificial's sign while it is in use and 0 otherwise; a zero entry only
+// ever adds zeros to the sums it enters.
 struct Workspace {
   int m = 0;           // rows
   int total = 0;       // total columns
   int num_structural = 0;
   int num_slack = 0;   // == m
-  // Column-wise sparse matrix.
-  std::vector<std::vector<Coefficient>> columns;
+  // Column j is col_entries[col_start[j] .. col_start[j + 1]), (row, value).
+  std::vector<int> col_start;
+  std::vector<Coefficient> col_entries;
+  // Row i is row_entries[row_start[i] .. row_start[i + 1]), (column, value).
+  std::vector<int> row_start;
+  std::vector<Coefficient> row_entries;
   std::vector<double> lower;
   std::vector<double> upper;
   std::vector<double> phase2_cost;
@@ -75,6 +90,25 @@ struct Workspace {
   std::vector<int> basis;          // basis[r] = column basic in row r
   std::vector<double> basic_value; // value of basis[r]
   std::vector<double> nonbasic_value;  // value for every column (basic entries stale)
+
+  std::span<const Coefficient> column(int j) const {
+    const auto begin = static_cast<std::size_t>(col_start[static_cast<std::size_t>(j)]);
+    const auto end = static_cast<std::size_t>(col_start[static_cast<std::size_t>(j) + 1]);
+    return std::span<const Coefficient>(col_entries).subspan(begin, end - begin);
+  }
+  std::span<const Coefficient> row(int i) const {
+    const auto begin = static_cast<std::size_t>(row_start[static_cast<std::size_t>(i)]);
+    const auto end = static_cast<std::size_t>(row_start[static_cast<std::size_t>(i) + 1]);
+    return std::span<const Coefficient>(row_entries).subspan(begin, end - begin);
+  }
+  // Puts row i's artificial in use with the given sign, or (0) out of use.
+  // Its entry is the only one in its column and the last in its row.
+  void set_artificial(int i, double sign) {
+    const int art = num_structural + num_slack + i;
+    col_entries[static_cast<std::size_t>(col_start[static_cast<std::size_t>(art)])].value = sign;
+    row_entries[static_cast<std::size_t>(row_start[static_cast<std::size_t>(i) + 1]) - 1].value =
+        sign;
+  }
 };
 
 double bound_start_value(double lower, double upper) {
@@ -237,17 +271,16 @@ class SimplexEngine {
     if (options_.pricing_window > 0) {
       pricing_window_ = std::min(options_.pricing_window, ws_.total);
     } else if (options_.pricing_window == 0) {
-      // A shrunken candidate list only pays when the pricing scan dominates
-      // the per-pivot cost, i.e. when columns heavily outnumber rows. On
-      // row-dominated LPs the O(m^2) kernel solves dwarf the scan, so a
-      // window just lengthens the pivot path for no savings — price fully.
+      // The window was sized for a full pricing scan that dominated only
+      // when columns heavily outnumber rows. Pricing no longer scans, so
+      // the rule is kept as it was only because it sets those solves'
+      // pivot paths (see SimplexOptions::pricing_window).
       const int automatic = std::clamp(ws_.total / 8, 64, 512);
       if (ws_.total >= 4 * m && automatic < ws_.total) {
         pricing_window_ = automatic;
       }
     }
 
-    ws_.columns.assign(static_cast<std::size_t>(ws_.total), {});
     ws_.lower.assign(static_cast<std::size_t>(ws_.total), 0.0);
     ws_.upper.assign(static_cast<std::size_t>(ws_.total), kInfinity);
     ws_.phase2_cost.assign(static_cast<std::size_t>(ws_.total), 0.0);
@@ -260,17 +293,41 @@ class SimplexEngine {
       ws_.upper[static_cast<std::size_t>(j)] = v.upper;
       ws_.phase2_cost[static_cast<std::size_t>(j)] = sign * v.objective;
     }
+
+    // Column slots: each structural column's nonzeros, then one entry per
+    // slack and per artificial.
+    std::vector<int>& col_start = ws_.col_start;
+    col_start.assign(static_cast<std::size_t>(ws_.total) + 1, 0);
+    for (int i = 0; i < m; ++i) {
+      for (const auto& coef : model.row(i).coefficients) {
+        if (coef.value != 0.0) ++col_start[static_cast<std::size_t>(coef.var) + 1];
+      }
+    }
+    for (int j = n; j < ws_.total; ++j) col_start[static_cast<std::size_t>(j) + 1] = 1;
+    for (std::size_t j = 1; j < col_start.size(); ++j) col_start[j] += col_start[j - 1];
+    const auto nnz = static_cast<std::size_t>(col_start.back());
+    ws_.col_entries.resize(nnz);
+    ws_.row_entries.clear();
+    ws_.row_entries.reserve(nnz);
+    ws_.row_start.assign(1, 0);
+    ws_.row_start.reserve(static_cast<std::size_t>(m) + 1);
+    std::vector<int> fill(col_start.begin(), col_start.end() - 1);
+    const auto place = [&](int i, int j, double value) {
+      ws_.col_entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(j)]++)] = {i, value};
+      ws_.row_entries.push_back({j, value});
+    };
     for (int i = 0; i < m; ++i) {
       const Row& row = model.row(i);
       ws_.rhs[static_cast<std::size_t>(i)] = row.rhs;
       for (const auto& coef : row.coefficients) {
-        if (coef.value != 0.0) {
-          ws_.columns[static_cast<std::size_t>(coef.var)].push_back({i, coef.value});
-        }
+        if (coef.value != 0.0) place(i, coef.var, coef.value);
       }
-      // Slack column: row becomes a*x + s = b.
+      // Slack column: row becomes a*x + s = b. The artificial starts out of
+      // use; the basis install puts it in.
       const int slack = n + i;
-      ws_.columns[static_cast<std::size_t>(slack)].push_back({i, 1.0});
+      place(i, slack, 1.0);
+      place(i, first_artificial_ + i, 0.0);
+      ws_.row_start.push_back(static_cast<int>(ws_.row_entries.size()));
       switch (row.type) {
         case RowType::kLessEqual:
           ws_.lower[static_cast<std::size_t>(slack)] = 0.0;
@@ -369,7 +426,7 @@ class SimplexEngine {
     for (int j = 0; j < first_artificial_; ++j) {
       const double xj = value[static_cast<std::size_t>(j)];
       if (xj == 0.0) continue;
-      for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
+      for (const auto& entry : ws_.column(j)) {
         residual[static_cast<std::size_t>(entry.var)] -= entry.value * xj;
       }
     }
@@ -415,8 +472,7 @@ class SimplexEngine {
       int col = plan[static_cast<std::size_t>(r)];
       if (col < 0) {
         col = first_artificial_ + r;
-        const double sgn = residual[static_cast<std::size_t>(r)] >= 0.0 ? 1.0 : -1.0;
-        ws_.columns[static_cast<std::size_t>(col)].assign(1, {r, sgn});
+        ws_.set_artificial(r, residual[static_cast<std::size_t>(r)] >= 0.0 ? 1.0 : -1.0);
         ws_.basic_value[static_cast<std::size_t>(r)] =
             std::abs(residual[static_cast<std::size_t>(r)]);
       } else {
@@ -439,9 +495,7 @@ class SimplexEngine {
     }
     if (!ok) {
       ws_.status = status_backup;
-      for (int r = 0; r < m; ++r) {
-        ws_.columns[static_cast<std::size_t>(first_artificial_ + r)].clear();
-      }
+      for (int r = 0; r < m; ++r) ws_.set_artificial(r, 0.0);
       return false;
     }
     return true;
@@ -459,7 +513,7 @@ class SimplexEngine {
       const int art = first_artificial_ + i;
       const double sign = residual[static_cast<std::size_t>(i)] >= 0.0 ? 1.0 : -1.0;
       signs[static_cast<std::size_t>(i)] = sign;
-      ws_.columns[static_cast<std::size_t>(art)].assign(1, {i, sign});
+      ws_.set_artificial(i, sign);
       ws_.status[static_cast<std::size_t>(art)] = VarStatus::kBasic;
       ws_.basis[static_cast<std::size_t>(i)] = art;
       ws_.basic_value[static_cast<std::size_t>(i)] =
@@ -496,7 +550,7 @@ class SimplexEngine {
   double reduced_cost(int j, const std::vector<double>& cost,
                       const std::vector<double>& y) const {
     double d = cost[static_cast<std::size_t>(j)];
-    for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
+    for (const auto& entry : ws_.column(j)) {
       d -= y[static_cast<std::size_t>(entry.var)] * entry.value;
     }
     return d;
@@ -508,8 +562,7 @@ class SimplexEngine {
     basis_cols_.clear();
     basis_cols_.reserve(static_cast<std::size_t>(ws_.m));
     for (int r = 0; r < ws_.m; ++r) {
-      basis_cols_.push_back(
-          &ws_.columns[static_cast<std::size_t>(ws_.basis[static_cast<std::size_t>(r)])]);
+      basis_cols_.push_back(ws_.column(ws_.basis[static_cast<std::size_t>(r)]));
     }
     if (!basis_.refactorize(basis_cols_)) return false;
     recompute_basic_values();
@@ -523,128 +576,146 @@ class SimplexEngine {
       if (ws_.status[static_cast<std::size_t>(j)] == VarStatus::kBasic) continue;
       const double xj = ws_.nonbasic_value[static_cast<std::size_t>(j)];
       if (xj == 0.0) continue;
-      for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
+      for (const auto& entry : ws_.column(j)) {
         rhs[static_cast<std::size_t>(entry.var)] -= entry.value * xj;
       }
     }
     basis_.apply_inverse(rhs, ws_.basic_value);
   }
 
-  // Legacy-ordered segment scan for the entering variable: strictly-better
-  // merit wins; an equal merit at a lower column index wins only across the
-  // wrap of a rotated window (within one ascending segment the first-seen
-  // candidate already has the lowest index, exactly the historical rule).
-  void price_segment(int begin, int end, const std::vector<double>& cost,
-                     const std::vector<double>& y, bool devex,
-                     const std::vector<double>& devex_weight,
-                     double& best_merit, int& entering, double& entering_dir) const {
-    for (int j = begin; j < end; ++j) {
-      const VarStatus st = ws_.status[static_cast<std::size_t>(j)];
-      if (st == VarStatus::kBasic) continue;
-      // Locked variables (fixed artificials, equality slacks) cannot move.
-      if (ws_.lower[static_cast<std::size_t>(j)] ==
-          ws_.upper[static_cast<std::size_t>(j)]) {
-        continue;
-      }
-      const double d = reduced_cost(j, cost, y);
-      double score = 0.0;
-      double dir = 0.0;
-      if ((st == VarStatus::kAtLower || st == VarStatus::kFreeAtZero) &&
-          d < -options_.optimality_tol) {
-        score = -d;
-        dir = 1.0;
-      } else if ((st == VarStatus::kAtUpper || st == VarStatus::kFreeAtZero) &&
-                 d > options_.optimality_tol) {
-        score = d;
-        dir = -1.0;
-      }
-      if (score <= 0.0) continue;
-      const double merit =
-          devex ? score * score / devex_weight[static_cast<std::size_t>(j)]
-                : score;
-      if (merit > best_merit ||
-          (merit == best_merit && entering >= 0 && j < entering)) {
-        best_merit = merit;
-        entering = j;
-        entering_dir = dir;
-      }
-    }
+  bool locked(int j) const {
+    return ws_.lower[static_cast<std::size_t>(j)] ==
+           ws_.upper[static_cast<std::size_t>(j)];
   }
 
-  // Entering-variable selection. Full pricing scans every column; partial
-  // pricing scans the rotating candidate window, advancing it only when the
-  // window prices out, and declares optimality only after a full rotation
-  // finds no eligible column — the optimality conditions are identical to a
-  // full pass, only the pivot path differs.
-  int select_entering(const std::vector<double>& cost,
-                      const std::vector<double>& y, bool use_bland, bool devex,
-                      const std::vector<double>& devex_weight,
-                      double& entering_dir) {
-    if (use_bland) {  // first eligible index, every column
-      for (int j = 0; j < ws_.total; ++j) {
-        const VarStatus st = ws_.status[static_cast<std::size_t>(j)];
-        if (st == VarStatus::kBasic) continue;
-        if (ws_.lower[static_cast<std::size_t>(j)] ==
-            ws_.upper[static_cast<std::size_t>(j)]) {
-          continue;
-        }
-        const double d = reduced_cost(j, cost, y);
-        if ((st == VarStatus::kAtLower || st == VarStatus::kFreeAtZero) &&
-            d < -options_.optimality_tol) {
-          entering_dir = 1.0;
-          return j;
-        }
-        if ((st == VarStatus::kAtUpper || st == VarStatus::kFreeAtZero) &&
-            d > options_.optimality_tol) {
-          entering_dir = -1.0;
-          return j;
-        }
-      }
-      return -1;
+  // The direction column j would enter in, from its cached reduced cost:
+  // +1 (up from its lower bound, or from zero when free) on a reduced cost
+  // below -tol, -1 (down) on one above tol, 0 when it is not eligible.
+  // Basic and locked columns (fixed artificials, equality slacks) never
+  // price.
+  double direction(int j) const {
+    const VarStatus st = ws_.status[static_cast<std::size_t>(j)];
+    if (st == VarStatus::kBasic || locked(j)) return 0.0;
+    const double d = d_[static_cast<std::size_t>(j)];
+    if ((st == VarStatus::kAtLower || st == VarStatus::kFreeAtZero) &&
+        d < -options_.optimality_tol) {
+      return 1.0;
     }
-
-    const double merit_floor = devex ? 0.0 : options_.optimality_tol;
-    int entering = -1;
-    if (pricing_window_ >= ws_.total) {
-      double best_merit = merit_floor;
-      price_segment(0, ws_.total, cost, y, devex, devex_weight, best_merit,
-                    entering, entering_dir);
-      return entering;
+    if ((st == VarStatus::kAtUpper || st == VarStatus::kFreeAtZero) &&
+        d > options_.optimality_tol) {
+      return -1.0;
     }
-    const int windows = (ws_.total + pricing_window_ - 1) / pricing_window_;
-    for (int attempt = 0; attempt < windows; ++attempt) {
-      double best_merit = merit_floor;
-      const int begin = pricing_offset_;
-      const int end = begin + pricing_window_;
-      price_segment(begin, std::min(end, ws_.total), cost, y, devex,
-                    devex_weight, best_merit, entering, entering_dir);
-      if (end > ws_.total) {
-        price_segment(0, end - ws_.total, cost, y, devex, devex_weight,
-                      best_merit, entering, entering_dir);
-      }
-      if (entering >= 0) return entering;
-      pricing_offset_ = end % ws_.total;
-    }
-    return -1;
+    return 0.0;
   }
 
-  // Applies fn(j) to every column the current pricing pass covers: the
-  // active window under partial pricing, every column otherwise. The devex
-  // weight update iterates the same set — weights outside the window go
-  // stale (too small), which only overstates those columns' merit when the
-  // window rotates onto them; path quality, never correctness.
-  template <typename Fn>
-  void for_each_priced(bool full, Fn&& fn) const {
-    if (full || pricing_window_ >= ws_.total) {
-      for (int j = 0; j < ws_.total; ++j) fn(j);
+  // Column j's pricing merit, or kIneligible: its score (Dantzig) or the
+  // score's square over its devex weight, which must beat the rule's floor.
+  double merit(int j, bool devex, const std::vector<double>& devex_weight) const {
+    const double dir = direction(j);
+    if (dir == 0.0) return MeritTree::kIneligible;
+    const double score = -dir * d_[static_cast<std::size_t>(j)];
+    if (score <= 0.0) return MeritTree::kIneligible;
+    const double value =
+        devex ? score * score / devex_weight[static_cast<std::size_t>(j)] : score;
+    const double floor = devex ? 0.0 : options_.optimality_tol;
+    return value > floor ? value : MeritTree::kIneligible;
+  }
+
+  // Full refresh after an exact BTRAN: every nonbasic, unlocked column's
+  // reduced cost, then every merit.
+  void price_all(const std::vector<double>& cost, const std::vector<double>& y,
+                 bool devex, const std::vector<double>& devex_weight) {
+    for (int j = 0; j < ws_.total; ++j) {
+      if (ws_.status[static_cast<std::size_t>(j)] != VarStatus::kBasic && !locked(j)) {
+        d_[static_cast<std::size_t>(j)] = reduced_cost(j, cost, y);
+      }
+    }
+    load_merits(devex, devex_weight);
+  }
+
+  void load_merits(bool devex, const std::vector<double>& devex_weight) {
+    for (int j = 0; j < ws_.total; ++j) merits_.load(j, merit(j, devex, devex_weight));
+    merits_.build();
+  }
+
+  // alpha_j = rho . a_j for every column meeting rho's nonzeros, by a
+  // scatter down the CSR rows of those nonzeros in ascending row order.
+  // Per column that adds the terms of the column-wise dot product in its
+  // order, minus the exact zeros, so each alpha_j is bit for bit the dot
+  // product's. The columns reached land in touched_.
+  void scatter_pivot_row() {
+    touched_.clear();
+    for (const int i : rho_rows_) {
+      const double rho_i = rho_[static_cast<std::size_t>(i)];
+      for (const auto& entry : ws_.row(i)) {
+        const auto j = static_cast<std::size_t>(entry.var);
+        if (!is_touched_[j]) {
+          is_touched_[j] = 1;
+          touched_.push_back(entry.var);
+          alpha_[j] = 0.0;
+        }
+        alpha_[j] += rho_i * entry.value;
+      }
+    }
+    for (const int j : touched_) is_touched_[static_cast<std::size_t>(j)] = 0;
+  }
+
+  // Re-prices after a pivot whose duals were updated from rho: only the
+  // touched columns' reduced costs moved (y changed only on rho's nonzero
+  // rows). The pivot also changed two statuses: the leaving column is
+  // nonbasic again and the entering one basic. Both meet rho (their
+  // pivot-row entries are 1 and w_r), so they are touched in practice, but
+  // they are re-priced by name so that no rounding can leave a stale leaf.
+  // `reframed` means every devex weight was reset, so every merit moved.
+  void reprice_pivot(const std::vector<double>& cost, const std::vector<double>& y,
+                     bool devex, const std::vector<double>& devex_weight,
+                     int entering, int leave_var, bool reframed) {
+    for (const int j : touched_) {
+      if (ws_.status[static_cast<std::size_t>(j)] != VarStatus::kBasic && !locked(j)) {
+        d_[static_cast<std::size_t>(j)] = reduced_cost(j, cost, y);
+      }
+    }
+    d_[static_cast<std::size_t>(leave_var)] = reduced_cost(leave_var, cost, y);
+    if (reframed) {
+      load_merits(devex, devex_weight);
       return;
     }
-    const int begin = pricing_offset_;
-    const int end = begin + pricing_window_;
-    for (int j = begin; j < std::min(end, ws_.total); ++j) fn(j);
-    if (end > ws_.total) {
-      for (int j = 0; j < end - ws_.total; ++j) fn(j);
+    for (const int j : touched_) merits_.update(j, merit(j, devex, devex_weight));
+    merits_.update(leave_var, merit(leave_var, devex, devex_weight));
+    merits_.update(entering, MeritTree::kIneligible);
+  }
+
+  // Entering-variable selection from the cached merits. Full pricing asks
+  // the tree for its overall winner; partial pricing asks for the winner of
+  // the rotating candidate window, advancing it only when the window prices
+  // out, and declares optimality only after a full rotation finds no
+  // eligible column — the optimality conditions are identical to a full
+  // pass, only the pivot path differs. Bland's rule takes the first
+  // eligible index.
+  int select_entering(bool use_bland, double& entering_dir) {
+    int entering = -1;
+    if (use_bland) {
+      for (int j = 0; j < ws_.total && entering < 0; ++j) {
+        if (direction(j) != 0.0) entering = j;
+      }
+    } else if (pricing_window_ >= ws_.total) {
+      entering = merits_.best(0, ws_.total);
+    } else {
+      const int windows = (ws_.total + pricing_window_ - 1) / pricing_window_;
+      for (int attempt = 0; attempt < windows && entering < 0; ++attempt) {
+        entering = merits_.best_wrapped(pricing_offset_, pricing_window_);
+        if (entering < 0) {
+          pricing_offset_ = (pricing_offset_ + pricing_window_) % ws_.total;
+        }
+      }
     }
+    if (entering >= 0) entering_dir = direction(entering);
+    return entering;
+  }
+
+  // True when column j lies in the current candidate window.
+  bool in_window(int j) const {
+    return (j - pricing_offset_ + ws_.total) % ws_.total < pricing_window_;
   }
 
   SolveStatus optimize(const std::vector<double>& cost, bool phase1,
@@ -662,18 +733,24 @@ class SimplexEngine {
     // Dual maintenance. The historical kernel recomputes y = c_B^T B^-1 by
     // a full BTRAN every pivot — the single most expensive operation in the
     // solve (phase 1's all-artificial cost vector makes c_B dense). The eta
-    // kernel instead updates the duals in O(m) per pivot from the identity
-    // y' = y + (d_q / w_r) * rho, where d_q is the entering column's reduced
-    // cost, w_r the pivot element, and rho the (pre-pivot) devex pivot row
-    // it already computes. Accumulated rounding is bounded by refreshing the
-    // duals at every reinversion, and optimality is never declared on
-    // updated duals: pricing out triggers one exact recompute and a
-    // re-price, so the termination conditions match the historical kernel's.
-    // The Bland anti-cycling regime also recomputes exactly every pivot —
-    // its guarantees assume exact reduced costs.
+    // kernel instead updates the duals in O(nnz(rho)) per pivot from the
+    // identity y' = y + (d_q / w_r) * rho, where d_q is the entering
+    // column's reduced cost, w_r the pivot element, and rho the (pre-pivot)
+    // pivot row it already computes. Accumulated rounding is bounded by
+    // refreshing the duals at every reinversion, and optimality is never
+    // declared on updated duals: pricing out triggers one exact recompute
+    // and a re-price, so the termination conditions match the historical
+    // kernel's. The Bland anti-cycling regime also recomputes exactly every
+    // pivot — its guarantees assume exact reduced costs.
+    //
+    // Pricing reads cached reduced costs d_ and merits. Every exact BTRAN
+    // refreshes all of them; an updated y moves only on rho's nonzero rows,
+    // so a pivot re-prices just the columns meeting those rows (plus the
+    // leaving column), each by the same column-wise formula — the cache
+    // always holds what a fresh pass would compute.
     const bool incremental_duals = basis_.kernel() == BasisKernel::kEtaFile;
     bool y_valid = false;  // y matches the current basis (exactly or updated)
-    bool y_exact = false;  // y came from a full BTRAN, not O(m) updates
+    bool y_exact = false;  // y came from a full BTRAN, not rho updates
 
     // Devex reference framework (Forrest & Goldfarb): every nonbasic column
     // starts at weight 1 (the phase's starting nonbasic set is the reference
@@ -693,6 +770,11 @@ class SimplexEngine {
     if (devex) devex_weight.assign(static_cast<std::size_t>(ws_.total), 1.0);
     constexpr double kDevexResetThreshold = 1e7;
 
+    d_.assign(static_cast<std::size_t>(ws_.total), 0.0);
+    alpha_.assign(static_cast<std::size_t>(ws_.total), 0.0);
+    is_touched_.assign(static_cast<std::size_t>(ws_.total), 0);
+    merits_.reset(ws_.total);
+
     for (int iter = 0; iter < max_iters; ++iter, ++total_iters) {
       // Cooperative deadline: checked before the pivot so the overrun past
       // expiry is at most the pivot in flight. Each loop iteration (pivot or
@@ -706,23 +788,23 @@ class SimplexEngine {
       const bool use_bland = degenerate_streak > options_.degenerate_pivot_limit;
       if (!incremental_duals || use_bland || !y_valid) {
         compute_duals(cost, y);
+        price_all(cost, y, devex, devex_weight);
         y_valid = true;
         y_exact = true;
       }
       double entering_dir = 0.0;
-      int entering =
-          select_entering(cost, y, use_bland, devex, devex_weight, entering_dir);
+      int entering = select_entering(use_bland, entering_dir);
       if (entering < 0 && incremental_duals && !y_exact) {
         // Priced out on updated duals: verify against an exact recompute
         // before declaring dual feasibility.
         compute_duals(cost, y);
+        price_all(cost, y, devex, devex_weight);
         y_exact = true;
-        entering = select_entering(cost, y, use_bland, devex, devex_weight,
-                                   entering_dir);
+        entering = select_entering(use_bland, entering_dir);
       }
       if (entering < 0) return SolveStatus::kOptimal;  // dual feasible
 
-      basis_.ftran(ws_.columns[static_cast<std::size_t>(entering)], w);
+      basis_.ftran(ws_.column(entering), w);
 
       // Ratio test. The entering variable moves by t >= 0 in direction
       // entering_dir; basic variable r changes at rate -entering_dir * w[r].
@@ -775,12 +857,14 @@ class SimplexEngine {
       }
 
       if (leaving < 0) {
-        // Bound flip: the entering variable runs to its opposite bound.
+        // Bound flip: the entering variable runs to its opposite bound. Only
+        // its own status moved, so only its merit does.
         auto& st = ws_.status[static_cast<std::size_t>(entering)];
         st = entering_dir > 0 ? VarStatus::kAtUpper : VarStatus::kAtLower;
         ws_.nonbasic_value[static_cast<std::size_t>(entering)] =
             entering_dir > 0 ? ws_.upper[static_cast<std::size_t>(entering)]
                              : ws_.lower[static_cast<std::size_t>(entering)];
+        merits_.update(entering, merit(entering, devex, devex_weight));
         continue;
       }
 
@@ -799,15 +883,19 @@ class SimplexEngine {
       ws_.basis[static_cast<std::size_t>(leaving)] = entering;
       ws_.basic_value[static_cast<std::size_t>(leaving)] = entering_value;
 
-      // The pre-pivot row of the inverse serves both the devex weight update
-      // and the incremental dual update, so one kernel call covers both.
+      // The pre-pivot row of the inverse serves the devex weight update,
+      // the incremental dual update and the re-price, so one kernel call
+      // and one scatter cover all three.
       const bool need_rho = devex || (incremental_duals && !use_bland);
-      if (need_rho) basis_.pivot_row(leaving, rho_);
+      if (need_rho) {
+        basis_.pivot_row(leaving, rho_, rho_rows_);
+        scatter_pivot_row();
+      }
       if (incremental_duals && !use_bland) {
-        const double d_q = reduced_cost(entering, cost, y);
+        const double d_q = d_[static_cast<std::size_t>(entering)];
         const double theta_d = d_q / w[static_cast<std::size_t>(leaving)];
         if (theta_d != 0.0) {
-          for (int i = 0; i < m; ++i) {
+          for (const int i : rho_rows_) {
             y[static_cast<std::size_t>(i)] +=
                 theta_d * rho_[static_cast<std::size_t>(i)];
           }
@@ -817,38 +905,38 @@ class SimplexEngine {
         y_valid = false;  // pivot without a dual update: recompute next pass
       }
 
+      bool reframed = false;
       if (devex) {
         // Reference-framework update: with entering weight gamma_q and pivot
         // element alpha_q = w[leaving], every priced nonbasic column j
         // updates to max(gamma_j, (alpha_j / alpha_q)^2 * gamma_q) where
         // alpha_j is its pivot-row entry under the *pre-pivot* inverse; the
-        // leaving column gets max(gamma_q / alpha_q^2, 1). Bound flips above
-        // skip this — the basis (and hence the framework geometry) did not
+        // leaving column gets max(gamma_q / alpha_q^2, 1). Columns with
+        // alpha_j = 0 keep their weight, so only the scattered ones are
+        // visited. Under partial pricing only the active window counts as
+        // priced: weights outside it go stale (too small), which only
+        // overstates those columns' merit when the window rotates onto
+        // them; path quality, never correctness. Bound flips above skip
+        // this — the basis (and hence the framework geometry) did not
         // change.
         const double gamma_q = devex_weight[static_cast<std::size_t>(entering)];
         const double alpha_q = w[static_cast<std::size_t>(leaving)];
         const double alpha_q_sq = alpha_q * alpha_q;
+        const bool windowed = !use_bland && pricing_window_ < ws_.total;
         double max_weight = 1.0;
-        for_each_priced(use_bland, [&](int j) {
-          if (j == entering || j == leave_var) return;
-          if (ws_.status[static_cast<std::size_t>(j)] == VarStatus::kBasic) {
-            return;
-          }
-          if (ws_.lower[static_cast<std::size_t>(j)] ==
-              ws_.upper[static_cast<std::size_t>(j)]) {
-            return;  // locked columns never price, so their weight is dead
-          }
-          double alpha_j = 0.0;
-          for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
-            alpha_j += rho_[static_cast<std::size_t>(entry.var)] * entry.value;
-          }
+        for (const int j : touched_) {
+          if (j == entering || j == leave_var) continue;
+          if (ws_.status[static_cast<std::size_t>(j)] == VarStatus::kBasic) continue;
+          if (locked(j)) continue;  // locked columns never price
+          if (windowed && !in_window(j)) continue;
+          const double alpha_j = alpha_[static_cast<std::size_t>(j)];
           if (alpha_j != 0.0) {
             double& g = devex_weight[static_cast<std::size_t>(j)];
             const double cand = (alpha_j * alpha_j / alpha_q_sq) * gamma_q;
             if (cand > g) g = cand;
             if (g > max_weight) max_weight = g;
           }
-        });
+        }
         double& g_leave = devex_weight[static_cast<std::size_t>(leave_var)];
         g_leave = std::max(gamma_q / alpha_q_sq, 1.0);
         if (g_leave > max_weight) max_weight = g_leave;
@@ -856,6 +944,7 @@ class SimplexEngine {
         if (max_weight > kDevexResetThreshold) {
           // Re-anchor the reference frame at the current nonbasic set.
           std::fill(devex_weight.begin(), devex_weight.end(), 1.0);
+          reframed = true;
         }
       }
 
@@ -864,6 +953,10 @@ class SimplexEngine {
       if (basis_.update(leaving, w)) {
         if (!refactorize()) return SolveStatus::kIterationLimit;
         y_valid = false;  // refresh the duals from the clean anchor
+      }
+      // Without valid duals the next pass refreshes every price anyway.
+      if (y_valid) {
+        reprice_pivot(cost, y, devex, devex_weight, entering, leave_var, reframed);
       }
     }
     return SolveStatus::kIterationLimit;
@@ -876,9 +969,20 @@ class SimplexEngine {
   int pricing_window_ = 0;
   int pricing_offset_ = 0;
   bool warm_installed_ = false;
-  std::vector<const std::vector<Coefficient>*> basis_cols_;
+  std::vector<std::span<const Coefficient>> basis_cols_;
   std::vector<double> cb_;
+  // The pivot row and its nonzero rows (ascending).
   std::vector<double> rho_;
+  std::vector<int> rho_rows_;
+  // Pricing state of the running phase: each nonbasic, unlocked column's
+  // reduced cost; the merit tree over them; and the columns the last pivot
+  // row reached, with their pivot-row entries alpha_ (is_touched_ is
+  // all-zero between scatters).
+  std::vector<double> d_;
+  MeritTree merits_;
+  std::vector<int> touched_;
+  std::vector<double> alpha_;
+  std::vector<unsigned char> is_touched_;
 };
 
 }  // namespace

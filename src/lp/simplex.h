@@ -14,14 +14,17 @@ namespace prete::lp {
 // kDantzig picks the most negative reduced cost — cheap per iteration but
 // iteration counts grow sharply on TWAN-scale masters. kDevex (Forrest &
 // Goldfarb reference-framework devex) weighs each reduced cost by an
-// approximate steepest-edge norm, trading one extra pivot-row sweep per
-// pivot for fewer pivots on the TE formulations; it applies to phase 2
-// only (phase 1, whose transient composite objective starts from an
-// all-artificial frame, always prices by Dantzig). Both rules are pure
-// functions of the model and warm-start hint (ties break toward the lowest
-// column index), so solve sequences stay deterministic at any thread count;
-// the Bland anti-cycling regime overrides either rule after a degenerate
-// streak.
+// approximate steepest-edge norm and takes fewer pivots on the TE
+// formulations; it applies to phase 2 only (phase 1, whose transient
+// composite objective starts from an all-artificial frame, always prices by
+// Dantzig). Neither rule scans the matrix per pivot: reduced costs and
+// merits are cached, a pivot re-prices only the columns that meet the
+// pivot row's nonzeros (and updates their devex weights from the same
+// row-wise scatter), and the entering column is read off a tournament tree
+// of merits. Both rules are pure functions of the model and warm-start hint
+// (ties break toward the lowest column index), so solve sequences stay
+// deterministic at any thread count; the Bland anti-cycling regime
+// overrides either rule after a degenerate streak.
 enum class PricingRule : std::uint8_t { kDantzig, kDevex };
 
 struct SimplexOptions {
@@ -59,18 +62,24 @@ struct SimplexOptions {
   // the dropped multipliers that presolve discards. Branch-and-bound never
   // reads duals, so the flag lives safely there.
   bool presolve = false;
-  // Candidate-list partial pricing: price a rotating window of this many
-  // columns per iteration, advancing the window only when it prices out (no
-  // eligible column); optimality is declared only after a full rotation
-  // finds nothing, so the optimality conditions are unchanged — only the
-  // pivot path moves. 0 sizes the window automatically (total/8, clamped to
-  // [64, 512]) but engages it only on column-dominated LPs (total >= 4m)
-  // where the pricing scan outweighs the kernel solves; row-dominated
-  // problems and problems smaller than the window price fully. Negative
-  // forces full pricing. The window position is a pure function of the
-  // solve history and ties still break toward the lowest column index, so
-  // partial pricing preserves determinism at any thread count. The Bland
-  // anti-cycling regime always scans every column.
+  // Candidate-list partial pricing: choose the entering column from a
+  // rotating window of this many columns, advancing the window only when it
+  // prices out (no eligible column); optimality is declared only after a
+  // full rotation finds nothing, so the optimality conditions are unchanged
+  // — only the pivot path moves. 0 sizes the window automatically (total/8,
+  // clamped to [64, 512]) but engages it only on column-dominated LPs
+  // (total >= 4m); row-dominated problems and problems smaller than the
+  // window price fully. Negative forces full pricing. The window position
+  // is a pure function of the solve history and ties still break toward
+  // the lowest column index, so partial pricing preserves determinism at
+  // any thread count. The Bland anti-cycling regime always takes the first
+  // eligible column.
+  //
+  // The window no longer saves work: pricing is incremental (see
+  // PricingRule), and a windowed pick is two range queries on the merit
+  // tree instead of one. It stays because it sets the pivot path of the
+  // column-dominated solves that engage it (under 2% of b4_degradation's),
+  // so removing it would move their decisions' digests.
   int pricing_window = 0;
   // Switch to Bland's anti-cycling rule after this many consecutive
   // degenerate pivots.

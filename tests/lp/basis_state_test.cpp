@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lp/basis.h"
@@ -30,12 +31,9 @@ std::vector<std::vector<Coefficient>> scaled_basis(int m, double scale,
   return cols;
 }
 
-std::vector<const std::vector<Coefficient>*> column_pointers(
+std::vector<std::span<const Coefficient>> column_pointers(
     const std::vector<std::vector<Coefficient>>& cols) {
-  std::vector<const std::vector<Coefficient>*> ptrs;
-  ptrs.reserve(cols.size());
-  for (const auto& col : cols) ptrs.push_back(&col);
-  return ptrs;
+  return {cols.begin(), cols.end()};
 }
 
 double ftran_residual(const std::vector<std::vector<Coefficient>>& cols,
@@ -176,8 +174,9 @@ TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
 
   std::vector<double> ra;
   std::vector<double> rb;
-  explicit_anchor.pivot_row(5, ra);
-  lu_anchor.pivot_row(5, rb);
+  std::vector<int> support;
+  explicit_anchor.pivot_row(5, ra, support);
+  lu_anchor.pivot_row(5, rb, support);
   for (int i = 0; i < kDim; ++i) {
     EXPECT_NEAR(ra[static_cast<std::size_t>(i)], rb[static_cast<std::size_t>(i)],
                 1e-9)
@@ -456,11 +455,24 @@ TEST_P(SparseAnchorProperty, KernelMatchesDenseReference) {
       std::vector<double> unit(static_cast<std::size_t>(m), 0.0);
       unit[static_cast<std::size_t>(r)] = 1.0;
       std::vector<double> rho;
+      std::vector<int> nonzeros;
       std::vector<double> y;
-      basis.pivot_row(r, rho);
+      basis.pivot_row(r, rho, nonzeros);
       basis.btran(unit, y);
       expect_equal(rho, y, "pivot_row vs btran");
       check(rho, reference.btran(unit), "pivot_row");
+      // The listed support is strictly ascending and holds every nonzero:
+      // pricing visits only the columns meeting it.
+      std::vector<char> listed(static_cast<std::size_t>(m), 0);
+      for (std::size_t k = 0; k < nonzeros.size(); ++k) {
+        ASSERT_TRUE(k == 0 || nonzeros[k - 1] < nonzeros[k]) << "pivot_row support order";
+        listed[static_cast<std::size_t>(nonzeros[k])] = 1;
+      }
+      for (int i = 0; i < m; ++i) {
+        if (rho[static_cast<std::size_t>(i)] != 0.0) {
+          EXPECT_TRUE(listed[static_cast<std::size_t>(i)]) << "pivot_row support misses " << i;
+        }
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lp/lu.h"
@@ -43,12 +44,9 @@ std::vector<std::vector<Coefficient>> random_sparse_basis(int m,
   return cols;
 }
 
-std::vector<const std::vector<Coefficient>*> column_pointers(
+std::vector<std::span<const Coefficient>> column_pointers(
     const std::vector<std::vector<Coefficient>>& cols) {
-  std::vector<const std::vector<Coefficient>*> ptrs;
-  ptrs.reserve(cols.size());
-  for (const auto& col : cols) ptrs.push_back(&col);
-  return ptrs;
+  return {cols.begin(), cols.end()};
 }
 
 // Residual of B x = rhs for the column-sparse B.
@@ -135,10 +133,17 @@ TEST_P(LuFactorizationProperty, SolvesMatchTheMatrix) {
   }
   std::vector<double> y_dense;
   std::vector<double> y_sparse;
+  std::vector<int> y_nonzeros;
   lu.btran(sparse_v, y_dense);
-  lu.btran_sparse(sparse_v, pattern, y_sparse);
+  lu.btran_sparse(sparse_v, pattern, y_sparse, y_nonzeros);
   ASSERT_EQ(y_dense.size(), y_sparse.size());
   for (std::size_t i = 0; i < y_dense.size(); ++i) EXPECT_EQ(y_sparse[i], y_dense[i]);
+  // And it lists exactly y's nonzeros, ascending.
+  std::vector<int> expected;
+  for (int i = 0; i < m; ++i) {
+    if (y_dense[static_cast<std::size_t>(i)] != 0.0) expected.push_back(i);
+  }
+  EXPECT_EQ(y_nonzeros, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LuFactorizationProperty, ::testing::Range(1, 20));
