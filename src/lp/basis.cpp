@@ -6,9 +6,7 @@
 
 namespace prete::lp {
 
-void BasisState::configure(BasisKernel kernel, int refactor_interval,
-                           int lu_threshold) {
-  kernel_ = kernel;
+void BasisState::configure(int refactor_interval, int lu_threshold) {
   refactor_interval_ = refactor_interval;
   lu_threshold_ = lu_threshold;
 }
@@ -26,22 +24,17 @@ void BasisState::clear_etas() {
 
 void BasisState::reset_diagonal(int m, const std::vector<double>& signs) {
   m_ = m;
-  anchor_is_lu_ = kernel_ == BasisKernel::kEtaFile && m >= lu_threshold_;
+  anchor_is_lu_ = m >= lu_threshold_;
   if (anchor_is_lu_) {
     // Trivial LU of diag(signs) — no O(m^2) buffer ever materializes.
     lu_.reset_diagonal(m, signs);
-  } else if (kernel_ == BasisKernel::kEtaFile) {
+  } else {
     inv_rows_.start.resize(static_cast<std::size_t>(m) + 1);
     inv_rows_.idx.resize(static_cast<std::size_t>(m));
     for (int i = 0; i <= m; ++i) inv_rows_.start[static_cast<std::size_t>(i)] = i;
     for (int i = 0; i < m; ++i) inv_rows_.idx[static_cast<std::size_t>(i)] = i;
     inv_rows_.val.assign(signs.begin(), signs.begin() + m);
     inv_cols_ = inv_rows_;  // a diagonal matrix is its own transpose
-  } else {
-    rows_.assign(static_cast<std::size_t>(m) * m, 0.0);
-    for (int i = 0; i < m; ++i) {
-      rows_[static_cast<std::size_t>(i) * m + i] = signs[static_cast<std::size_t>(i)];
-    }
   }
   clear_etas();
   pivots_since_refactor_ = 0;
@@ -51,77 +44,12 @@ bool BasisState::refactorize(
     const std::vector<std::span<const Coefficient>>& basis_columns) {
   const int m = static_cast<int>(basis_columns.size());
   m_ = m;
-  anchor_is_lu_ = kernel_ == BasisKernel::kEtaFile && m >= lu_threshold_;
+  anchor_is_lu_ = m >= lu_threshold_;
   if (anchor_is_lu_) {
     if (!lu_.factorize(basis_columns, lu_arena_)) return false;
     ++stats_.lu_reinversions;
-  } else if (kernel_ == BasisKernel::kEtaFile) {
-    if (!invert_sparse(basis_columns)) return false;
-  } else {
-    // Historical path: Gauss-Jordan over the widened (B | I) pair,
-    // bit-compatible with the pre-eta kernel. The O(m^2) workspaces are
-    // members reused across reinversions (and swapped — not moved — into
-    // rows_ at the end), so steady-state reinversion does not touch the heap.
-    std::vector<double>& dense = dense_scratch_;
-    dense.assign(static_cast<std::size_t>(m) * m, 0.0);
-    col_scale_.assign(static_cast<std::size_t>(m), 0.0);
-    for (int c = 0; c < m; ++c) {
-      for (const auto& entry : basis_columns[static_cast<std::size_t>(c)]) {
-        dense[static_cast<std::size_t>(entry.var) * m + c] = entry.value;
-        const double mag = std::abs(entry.value);
-        if (mag > col_scale_[static_cast<std::size_t>(c)]) {
-          col_scale_[static_cast<std::size_t>(c)] = mag;
-        }
-      }
-    }
-    std::vector<double>& inv = inv_scratch_;
-    inv.assign(static_cast<std::size_t>(m) * m, 0.0);
-    for (int i = 0; i < m; ++i) inv[static_cast<std::size_t>(i) * m + i] = 1.0;
-
-    for (int col = 0; col < m; ++col) {
-      int pivot = col;
-      double best = std::abs(dense[static_cast<std::size_t>(col) * m + col]);
-      for (int r = col + 1; r < m; ++r) {
-        const double v = std::abs(dense[static_cast<std::size_t>(r) * m + col]);
-        if (v > best) {
-          best = v;
-          pivot = r;
-        }
-      }
-      // Relative singularity: the eliminated column's best pivot collapsed
-      // against the column's input magnitude. An absolute cutoff here
-      // misclassifies badly scaled (but perfectly conditioned) bases — a
-      // basis scaled by 1e-13 is not singular.
-      if (best <= 1e-12 * col_scale_[static_cast<std::size_t>(col)]) {
-        return false;  // numerically singular basis
-      }
-      if (pivot != col) {
-        for (int c = 0; c < m; ++c) {
-          std::swap(dense[static_cast<std::size_t>(pivot) * m + c],
-                    dense[static_cast<std::size_t>(col) * m + c]);
-          std::swap(inv[static_cast<std::size_t>(pivot) * m + c],
-                    inv[static_cast<std::size_t>(col) * m + c]);
-        }
-      }
-      const double piv = dense[static_cast<std::size_t>(col) * m + col];
-      const double inv_piv = 1.0 / piv;
-      for (int c = 0; c < m; ++c) {
-        dense[static_cast<std::size_t>(col) * m + c] *= inv_piv;
-        inv[static_cast<std::size_t>(col) * m + c] *= inv_piv;
-      }
-      for (int r = 0; r < m; ++r) {
-        if (r == col) continue;
-        const double factor = dense[static_cast<std::size_t>(r) * m + col];
-        if (factor == 0.0) continue;
-        for (int c = 0; c < m; ++c) {
-          dense[static_cast<std::size_t>(r) * m + c] -=
-              factor * dense[static_cast<std::size_t>(col) * m + c];
-          inv[static_cast<std::size_t>(r) * m + c] -=
-              factor * inv[static_cast<std::size_t>(col) * m + c];
-        }
-      }
-    }
-    rows_.swap(inv);
+  } else if (!invert_sparse(basis_columns)) {
+    return false;
   }
   clear_etas();
   pivots_since_refactor_ = 0;
@@ -131,11 +59,11 @@ bool BasisState::refactorize(
 
 bool BasisState::invert_sparse(
     const std::vector<std::span<const Coefficient>>& basis_columns) {
-  // Single-pass in-place Gauss-Jordan: the matrix gradually becomes its own
-  // inverse (row swaps are undone as a column permutation at the end), in
-  // the pivot sequence and per-entry arithmetic of the dense sweep. An entry
-  // the dense sweep would update by factor * 0 is left alone, so each step
-  // costs the nonzeros of the pivot row times the rows it eliminates.
+  // Single-pass in-place Gauss-Jordan with partial pivoting: the matrix
+  // gradually becomes its own inverse (row swaps are undone as a column
+  // permutation at the end). An entry a dense sweep would update by
+  // factor * 0 is left alone, so each step costs the nonzeros of the pivot
+  // row times the rows it eliminates.
   const int m = m_;
   const std::size_t mm = static_cast<std::size_t>(m) * m;
   if (gj_val_.size() != mm) {
@@ -170,7 +98,7 @@ bool BasisState::invert_sparse(
   pivot_rows_.resize(static_cast<std::size_t>(m));
   for (int col = 0; col < m; ++col) {
     // Pivot: the largest magnitude in column col among logical rows >= col,
-    // the lowest logical row on ties (the dense sweep's first strict max).
+    // the lowest logical row on ties (the first strict max in row order).
     const std::vector<int>& column = gj_col_rows_[static_cast<std::size_t>(col)];
     int pivot = col;
     double best = std::abs(
@@ -184,7 +112,10 @@ bool BasisState::invert_sparse(
         pivot = r;
       }
     }
-    // Relative singularity — see the dense-kernel sweep.
+    // Relative singularity: the eliminated column's best pivot collapsed
+    // against the column's input magnitude. An absolute cutoff here
+    // misclassifies badly scaled (but perfectly conditioned) bases — a
+    // basis scaled by 1e-13 is not singular.
     if (best <= 1e-12 * col_scale_[static_cast<std::size_t>(col)]) {
       clear_workspace();
       return false;  // numerically singular basis
@@ -302,21 +233,6 @@ void BasisState::transpose(const Compressed& in, Compressed& out) {
 
 void BasisState::ftran(std::span<const Coefficient> a,
                        std::vector<double>& w) const {
-  if (kernel_ == BasisKernel::kDenseBinv) {
-    std::fill(w.begin(), w.end(), 0.0);
-    // Historical operation order: accumulate one sparse entry at a time down
-    // the rows of the (strided) dense inverse.
-    for (const auto& entry : a) {
-      const double v = entry.value;
-      if (v == 0.0) continue;
-      const int c = entry.var;
-      for (int r = 0; r < m_; ++r) {
-        w[static_cast<std::size_t>(r)] +=
-            v * rows_[static_cast<std::size_t>(r) * m_ + c];
-      }
-    }
-    return;
-  }
   // Anchor pass — sparse LU triangular solves for large bases, otherwise an
   // axpy per sparse entry against the anchor's column — then the eta file
   // in forward order.
@@ -355,7 +271,7 @@ void BasisState::btran(const std::vector<double>& v,
                        std::vector<double>& y) const {
   y.assign(static_cast<std::size_t>(m_), 0.0);
   const std::vector<double>* src = &v;
-  if (kernel_ == BasisKernel::kEtaFile && !eta_row_.empty()) {
+  if (!eta_row_.empty()) {
     scratch_ = v;
     for (std::size_t k = eta_row_.size(); k-- > 0;) {
       const int r = eta_row_[k];
@@ -373,17 +289,6 @@ void BasisState::btran(const std::vector<double>& v,
   }
   if (anchor_is_lu_) {
     lu_.btran(*src, y);
-    return;
-  }
-  if (kernel_ == BasisKernel::kDenseBinv) {
-    for (int r = 0; r < m_; ++r) {
-      const double vr = (*src)[static_cast<std::size_t>(r)];
-      if (vr == 0.0) continue;
-      const double* row = rows_.data() + static_cast<std::size_t>(r) * m_;
-      for (int c = 0; c < m_; ++c) {
-        y[static_cast<std::size_t>(c)] += vr * row[c];
-      }
-    }
     return;
   }
   for (int r = 0; r < m_; ++r) {
@@ -417,12 +322,6 @@ void list_nonzeros(const std::vector<double>& v, std::vector<int>& nonzeros) {
 
 void BasisState::pivot_row(int r, std::vector<double>& rho,
                            std::vector<int>& nonzeros) const {
-  if (kernel_ == BasisKernel::kDenseBinv) {
-    rho.assign(rows_.begin() + static_cast<std::ptrdiff_t>(r) * m_,
-               rows_.begin() + static_cast<std::ptrdiff_t>(r + 1) * m_);
-    list_nonzeros(rho, nonzeros);
-    return;
-  }
   // BTRAN of e_r. support_ lists, ascending, the rows of scratch_ that may
   // be nonzero, and eta k's dot product needs only its entries in those
   // rows. Each support row walks its own chain of eta entries (newest
@@ -487,17 +386,6 @@ void BasisState::apply_inverse(const std::vector<double>& v,
                                std::vector<double>& x) const {
   if (anchor_is_lu_) {
     lu_.ftran_dense(v, x);
-  } else if (kernel_ == BasisKernel::kDenseBinv) {
-    x.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int r = 0; r < m_; ++r) {
-      const double* row = rows_.data() + static_cast<std::size_t>(r) * m_;
-      double acc = 0.0;
-      for (int c = 0; c < m_; ++c) {
-        acc += row[c] * v[static_cast<std::size_t>(c)];
-      }
-      x[static_cast<std::size_t>(r)] = acc;
-    }
-    return;
   } else {
     x.assign(static_cast<std::size_t>(m_), 0.0);
     for (int r = 0; r < m_; ++r) {
@@ -529,23 +417,6 @@ void BasisState::apply_inverse(const std::vector<double>& v,
 
 bool BasisState::update(int r, const std::vector<double>& w) {
   ++pivots_since_refactor_;
-  if (kernel_ == BasisKernel::kDenseBinv) {
-    const double piv = w[static_cast<std::size_t>(r)];
-    const double inv_piv = 1.0 / piv;
-    double* pivot_row_data = rows_.data() + static_cast<std::size_t>(r) * m_;
-    for (int c = 0; c < m_; ++c) pivot_row_data[c] *= inv_piv;
-    for (int row = 0; row < m_; ++row) {
-      if (row == r) continue;
-      const double factor = w[static_cast<std::size_t>(row)];
-      if (factor == 0.0) continue;
-      double* dst = rows_.data() + static_cast<std::size_t>(row) * m_;
-      for (int c = 0; c < m_; ++c) {
-        dst[c] -= factor * pivot_row_data[c];
-      }
-    }
-    return pivots_since_refactor_ >= refactor_interval_;
-  }
-
   // Eta append: record w as a pivot column of the product form.
   const double piv = w[static_cast<std::size_t>(r)];
   eta_row_.push_back(r);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -10,43 +9,26 @@
 
 namespace prete::lp {
 
-// Representation of the basis inverse maintained by the revised-simplex
-// kernel.
+// The basis inverse of the revised-simplex kernel, in product form: the
+// inverse is only materialized at reinversion points (the "anchor"), and the
+// pivots since then live as an eta file — one sparse pivot column per pivot,
+// applied in sequence during FTRAN and in reverse during BTRAN. A pivot costs
+// O(nnz(w)). The eta file is collapsed back into a fresh anchor every
+// `refactor_interval` pivots, or early when an appended eta's magnitude
+// spread signals numerical drift of the product form.
 //
-// kDenseBinv is the original kernel: an explicit dense m x m inverse updated
-// by Gauss-Jordan elimination at every pivot — O(m^2) per pivot on top of
-// the O(m^2) BTRAN/FTRAN passes, which dominates everything on TWAN-scale
-// masters.
+// The anchor has two representations, auto-selected by basis dimension at
+// every refactorize/reset: below `lu_threshold` rows the explicit inverse,
+// at or above it a Markowitz-ordered sparse LU factorization
+// (lp::LuFactorization) — the regime of the thousand-row continental
+// masters. Both anchors feed the same eta file. The explicit inverse of a TE
+// basis is about 3% nonzero, so it is kept sparse (CSR and CSC) and rebuilt
+// by an in-place Gauss-Jordan that updates each row only at the pivot row's
+// nonzeros. Every kernel operation then costs in proportion to the nonzeros
+// it combines.
 //
-// kEtaFile is the product-form-of-inverse kernel: the inverse is only
-// materialized at reinversion points (the "anchor"), and the pivots since
-// then live as an eta file — one sparse pivot column per pivot, applied in
-// sequence during FTRAN and in reverse during BTRAN. A pivot costs
-// O(nnz(w)) instead of O(m^2). The eta file is collapsed back into a fresh
-// anchor every `refactor_interval` pivots, or early when an appended eta's
-// magnitude spread signals numerical drift of the product form.
-//
-// The eta kernel's anchor itself has two representations, auto-selected by
-// basis dimension at every refactorize/reset: below `lu_threshold` rows the
-// explicit inverse, at or above it a Markowitz-ordered sparse LU
-// factorization (lp::LuFactorization) — the regime of the thousand-row
-// continental masters. Both anchors feed the same eta file. The explicit
-// inverse of a TE basis is about 3% nonzero, so it is kept sparse (CSR and
-// CSC) and rebuilt by an in-place Gauss-Jordan that updates each row only at
-// the pivot row's nonzeros. Every kernel operation then costs in proportion
-// to the nonzeros it combines, with each surviving term in the order of the
-// dense sweep it replaces: the skipped terms are exact zeros, so results
-// match the dense sweep bit for bit (up to the sign of a zero).
-enum class BasisKernel : std::uint8_t { kDenseBinv, kEtaFile };
-
-// The basis-inverse state shared by both kernels. One instance serves one
-// solve; nothing here is thread-safe (concurrent solves each own their
-// engine, and with it their BasisState).
-//
-// The dense-kernel code paths reproduce the pre-eta kernel's floating-point
-// operation order exactly, so kDenseBinv solves are bit-compatible with the
-// historical solver and serve as the reference in kernel-equivalence tests
-// and the bench gate.
+// One instance serves one solve; nothing here is thread-safe (concurrent
+// solves each own their engine, and with it their BasisState).
 class BasisState {
  public:
   struct Stats {
@@ -57,14 +39,10 @@ class BasisState {
   };
 
   // `refactor_interval` <= 0 refactorizes after every pivot. `lu_threshold`
-  // is the basis dimension at or above which the eta kernel's anchor
-  // switches from the explicit dense inverse to the sparse LU (tests force a
-  // side with 1 / a huge value; the default is calibrated by the lu_anchor
-  // bench phase).
-  void configure(BasisKernel kernel, int refactor_interval,
-                 int lu_threshold = 512);
-
-  BasisKernel kernel() const { return kernel_; }
+  // is the basis dimension at or above which the anchor switches from the
+  // explicit inverse to the sparse LU (tests force a side with 1 / a huge
+  // value; the default is calibrated by the lu_anchor bench phase).
+  void configure(int refactor_interval, int lu_threshold = 512);
 
   // True when the current anchor is the sparse LU factorization.
   bool anchor_is_lu() const { return anchor_is_lu_; }
@@ -73,18 +51,16 @@ class BasisState {
   // start): B^-1 = diag(signs). Clears the eta file.
   void reset_diagonal(int m, const std::vector<double>& signs);
 
-  // Rebuilds the anchor from the current basis columns — the historical
-  // widened (B | I) Gauss-Jordan for the dense kernel; for the eta kernel
-  // the sparse LU, or the sparse single-pass in-place Gauss-Jordan (same
-  // pivot sequence and per-entry arithmetic as the dense sweep) — and clears
-  // the eta file. `basis_columns[r]` is the sparse column basic in row r.
-  // Returns false on a numerically singular basis (state then undefined
-  // until the next successful refactorize or reset).
+  // Rebuilds the anchor from the current basis columns — the sparse LU, or
+  // the sparse single-pass in-place Gauss-Jordan — and clears the eta file.
+  // `basis_columns[r]` is the sparse column basic in row r. Returns false
+  // on a numerically singular basis (state then undefined until the next
+  // successful refactorize or reset).
   bool refactorize(const std::vector<std::span<const Coefficient>>& basis_columns);
 
   // Restarts the periodic-reinversion pivot counter (the engine calls this
-  // at the start of each simplex phase, mirroring the historical kernel's
-  // per-phase refactor cadence).
+  // at the start of each simplex phase, so each phase keeps its own refactor
+  // cadence).
   void reset_refactor_counter() { pivots_since_refactor_ = 0; }
 
   // w = B^-1 a for a sparse column a. w is overwritten (size m).
@@ -96,8 +72,8 @@ class BasisState {
 
   // rho = e_r^T B^-1, row r of the current inverse — the pivot row that
   // drives pricing — and `nonzeros`, the indices of rho's nonzeros,
-  // ascending. The eta kernel's reverse pass tracks the nonzero rows of the
-  // work vector and reads each eta only where they meet its entries; the LU
+  // ascending. The reverse pass over the eta file tracks the nonzero rows of
+  // the work vector and reads each eta only where they meet its entries; the LU
   // anchor's pass tracks rho's nonzeros as it goes, and the explicit
   // anchor's scatter is followed by one scan of rho.
   void pivot_row(int r, std::vector<double>& rho, std::vector<int>& nonzeros) const;
@@ -106,10 +82,9 @@ class BasisState {
   void apply_inverse(const std::vector<double>& v, std::vector<double>& x) const;
 
   // Accounts the pivot whose FTRANed entering column is w, landing in basis
-  // row r. The dense kernel performs the O(m^2) elimination; the eta kernel
-  // appends a pivot column in O(nnz(w)). Returns true when the caller must
-  // refactorize before the next iteration: the periodic interval was
-  // reached, or (eta kernel) the appended column's magnitude spread
+  // row r, by appending a pivot column in O(nnz(w)). Returns true when the
+  // caller must refactorize before the next iteration: the periodic
+  // interval was reached, or the appended column's magnitude spread
   // |w_i| / |w_r| crossed the drift threshold — the forward-error growth of
   // the product form is proportional to that ratio, so a large spread means
   // the represented inverse is drifting from the true one.
@@ -133,7 +108,7 @@ class BasisState {
   };
 
   void clear_etas();
-  // The eta kernel's explicit-anchor reinversion; false on a singular basis.
+  // The explicit-anchor reinversion; false on a singular basis.
   bool invert_sparse(const std::vector<std::span<const Coefficient>>& basis_columns);
   // Returns the Gauss-Jordan workspace to all-zero, touching only the
   // entries its patterns list.
@@ -143,26 +118,22 @@ class BasisState {
   void transpose(const Compressed& in, Compressed& out);
 
   int m_ = 0;
-  BasisKernel kernel_ = BasisKernel::kEtaFile;
   int refactor_interval_ = 128;
   int lu_threshold_ = 512;
   int pivots_since_refactor_ = 0;
   bool anchor_is_lu_ = false;
 
-  // Sparse LU anchor (eta kernel, m >= lu_threshold_) and the arena backing
+  // Sparse LU anchor (m >= lu_threshold_) and the arena backing
   // its elimination workspace across reinversions.
   LuFactorization lu_;
   util::Arena lu_arena_;
 
-  // Dense inverse, row-major: the kDenseBinv kernel's only representation.
-  std::vector<double> rows_;
-  // Explicit anchor inverse of the eta kernel (m < lu_threshold_), exact
-  // zeros dropped: by row (BTRAN, apply_inverse, pivot_row) and by column
+  // Explicit anchor inverse (m < lu_threshold_), exact zeros dropped: by row (BTRAN, apply_inverse, pivot_row) and by column
   // (FTRAN).
   Compressed inv_rows_;
   Compressed inv_cols_;
 
-  // Sparse Gauss-Jordan workspace (eta reinversion). gj_val_/gj_present_
+  // Sparse Gauss-Jordan workspace (explicit-anchor reinversion). gj_val_/gj_present_
   // are m x m, indexed by (physical row, column), and all-zero between
   // reinversions; gj_row_cols_/gj_col_rows_ list the present entries by
   // row and by column. Row swaps only exchange gj_phys_/gj_logical_
@@ -202,12 +173,6 @@ class BasisState {
   mutable std::vector<int> support_;
   mutable std::vector<int> cursor_;
 
-  // Member scratch buffers for the dense kernel's refactorization, reused
-  // across reinversions (swapped with rows_, never moved from — a move
-  // would steal the buffer back out and reintroduce the per-reinversion
-  // O(m^2) allocation this exists to remove).
-  std::vector<double> dense_scratch_;
-  std::vector<double> inv_scratch_;
   // Per-column max input magnitude of the basis being refactorized — the
   // reference scale for the relative singularity test.
   std::vector<double> col_scale_;

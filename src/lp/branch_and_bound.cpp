@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "lp/presolve.h"
 #include "runtime/parallel.h"
 
 namespace prete::lp {
@@ -83,41 +82,6 @@ int most_fractional(const Model& model, const std::vector<double>& x,
 }  // namespace
 
 Solution BranchAndBound::solve(const Model& model) const {
-  if (!options_.simplex.presolve) return solve_direct(model);
-
-  const PresolveResult pre = presolve(model);
-  if (pre.infeasible) {
-    Solution out;
-    out.status = SolveStatus::kInfeasible;
-    return out;
-  }
-  // An integer variable presolve fixed at a fractional value (a singleton
-  // row forcing x = 0.5, say) makes the MIP infeasible — the reduced model
-  // no longer carries the variable, so the check must happen here.
-  for (int j = 0; j < model.num_variables(); ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    if (!model.variable(j).is_integer || pre.variable_map[js] >= 0) continue;
-    const double v = pre.fixed_value[js];
-    if (std::abs(v - std::round(v)) > options_.integrality_tol) {
-      Solution out;
-      out.status = SolveStatus::kInfeasible;
-      return out;
-    }
-  }
-  BranchAndBound inner_solver([&] {
-    BranchAndBoundOptions inner = options_;
-    inner.simplex.presolve = false;
-    return inner;
-  }());
-  Solution reduced = inner_solver.solve_direct(pre.reduced);
-  if (reduced.x.empty()) return reduced;
-  reduced.x = pre.restore(reduced.x);
-  reduced.objective = model.objective_value(reduced.x);
-  reduced.duals.clear();  // presolve re-indexed the rows; see class comment
-  return reduced;
-}
-
-Solution BranchAndBound::solve_direct(const Model& model) const {
   SimplexSolver simplex(options_.simplex);
   if (!model.has_integers()) return simplex.solve(model);
 

@@ -33,15 +33,6 @@ struct BranchAndBoundOptions {
 // counters across every node relaxation: `iterations` (total simplex
 // pivots), `reinversions` / `lu_reinversions` (summed), `eta_peak` (maxed)
 // and `nodes_explored`.
-//
-// When `options.simplex.presolve` is set, the model is run through
-// lp::presolve first and the branch-and-bound search operates on the
-// reduced model; the returned `x` is lifted back to the original variable
-// space and the objective re-evaluated against the original model. Duals
-// are not lifted (presolve re-indexes rows) — they come back empty, which
-// is safe here because no branch-and-bound caller consumes duals; the
-// dual-consuming Benders path calls SimplexSolver directly, where the flag
-// is deliberately ignored (see SimplexOptions::presolve).
 class BranchAndBound {
  public:
   explicit BranchAndBound(BranchAndBoundOptions options = {})
@@ -50,8 +41,6 @@ class BranchAndBound {
   Solution solve(const Model& model) const;
 
  private:
-  Solution solve_direct(const Model& model) const;
-
   BranchAndBoundOptions options_;
 };
 

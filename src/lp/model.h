@@ -95,11 +95,11 @@ struct Solution {
   // across every node relaxation, not just the incumbent's.
   int iterations = 0;
   // Kernel work counters: anchor reinversions performed and the longest
-  // eta file reached between them (0 under the dense kernel). For
-  // branch-and-bound, summed / maxed across node relaxations.
+  // eta file reached between them. For branch-and-bound, summed / maxed
+  // across node relaxations.
   int reinversions = 0;
   int eta_peak = 0;
-  // Reinversions that built a sparse LU anchor (eta kernel at or above
+  // Reinversions that built a sparse LU anchor (at or above
   // SimplexOptions::lu_threshold rows) — lets tests and the bench assert
   // the LU anchor actually engaged. Summed across branch-and-bound nodes.
   int lu_reinversions = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -64,7 +65,8 @@ enum class VarStatus { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 //
 // The constraint matrix is held once per solve, flat, by column (CSC:
 // FTRAN, reinversion, reduced costs) and by row (CSR: the pivot row's
-// scatter), both filled in one pass over the model's rows. So each column
+// scatter): the rows are copied from the model once per solve (see
+// SimplexEngine::build), and the columns filled from them. So each column
 // lists its rows ascending, and each row lists its structural columns in
 // the model's coefficient order, then its slack, then its artificial. The
 // artificial of row i keeps one entry in row i whose value is the
@@ -265,8 +267,7 @@ class SimplexEngine {
     first_artificial_ = n + m;
     ws_.total = n + 2 * m;
 
-    basis_.configure(options_.kernel, options_.refactor_interval,
-                     options_.lu_threshold);
+    basis_.configure(options_.refactor_interval, options_.lu_threshold);
     pricing_window_ = ws_.total;
     if (options_.pricing_window > 0) {
       pricing_window_ = std::min(options_.pricing_window, ws_.total);
@@ -294,39 +295,47 @@ class SimplexEngine {
       ws_.phase2_cost[static_cast<std::size_t>(j)] = sign * v.objective;
     }
 
-    // Column slots: each structural column's nonzeros, then one entry per
-    // slack and per artificial.
-    std::vector<int>& col_start = ws_.col_start;
-    col_start.assign(static_cast<std::size_t>(ws_.total) + 1, 0);
-    for (int i = 0; i < m; ++i) {
-      for (const auto& coef : model.row(i).coefficients) {
-        if (coef.value != 0.0) ++col_start[static_cast<std::size_t>(coef.var) + 1];
-      }
-    }
-    for (int j = n; j < ws_.total; ++j) col_start[static_cast<std::size_t>(j) + 1] = 1;
-    for (std::size_t j = 1; j < col_start.size(); ++j) col_start[j] += col_start[j - 1];
-    const auto nnz = static_cast<std::size_t>(col_start.back());
-    ws_.col_entries.resize(nnz);
+    // Rows first (CSR), merging repeats: a variable listed more than once in
+    // a row gets one entry at its first position, holding the sum of its
+    // coefficients in order of appearance, and a sum that cancels to zero is
+    // dropped. So every anchor sees distinct entries, and a row without
+    // repeats is copied as given. Then the slack column (the row becomes
+    // a*x + s = b) and the artificial, which starts out of use; the basis
+    // install puts it in.
+    std::size_t entries = 2 * static_cast<std::size_t>(m);
+    for (const Row& row : model.rows()) entries += row.coefficients.size();
     ws_.row_entries.clear();
-    ws_.row_entries.reserve(nnz);
+    ws_.row_entries.reserve(entries);
     ws_.row_start.assign(1, 0);
     ws_.row_start.reserve(static_cast<std::size_t>(m) + 1);
-    std::vector<int> fill(col_start.begin(), col_start.end() - 1);
-    const auto place = [&](int i, int j, double value) {
-      ws_.col_entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(j)]++)] = {i, value};
-      ws_.row_entries.push_back({j, value});
-    };
+    std::vector<int> seen_in_row(static_cast<std::size_t>(n), -1);
+    std::vector<int> position(static_cast<std::size_t>(n), 0);
     for (int i = 0; i < m; ++i) {
       const Row& row = model.row(i);
       ws_.rhs[static_cast<std::size_t>(i)] = row.rhs;
+      const auto begin = static_cast<std::ptrdiff_t>(ws_.row_entries.size());
+      bool repeated = false;
       for (const auto& coef : row.coefficients) {
-        if (coef.value != 0.0) place(i, coef.var, coef.value);
+        if (coef.value == 0.0) continue;
+        const auto var = static_cast<std::size_t>(coef.var);
+        if (seen_in_row[var] == i) {
+          ws_.row_entries[static_cast<std::size_t>(position[var])].value += coef.value;
+          repeated = true;
+          continue;
+        }
+        seen_in_row[var] = i;
+        position[var] = static_cast<int>(ws_.row_entries.size());
+        ws_.row_entries.push_back({coef.var, coef.value});
       }
-      // Slack column: row becomes a*x + s = b. The artificial starts out of
-      // use; the basis install puts it in.
+      if (repeated) {
+        ws_.row_entries.erase(
+            std::remove_if(ws_.row_entries.begin() + begin, ws_.row_entries.end(),
+                           [](const Coefficient& c) { return c.value == 0.0; }),
+            ws_.row_entries.end());
+      }
       const int slack = n + i;
-      place(i, slack, 1.0);
-      place(i, first_artificial_ + i, 0.0);
+      ws_.row_entries.push_back({slack, 1.0});
+      ws_.row_entries.push_back({first_artificial_ + i, 0.0});
       ws_.row_start.push_back(static_cast<int>(ws_.row_entries.size()));
       switch (row.type) {
         case RowType::kLessEqual:
@@ -341,6 +350,23 @@ class SimplexEngine {
           ws_.lower[static_cast<std::size_t>(slack)] = 0.0;
           ws_.upper[static_cast<std::size_t>(slack)] = 0.0;
           break;
+      }
+    }
+
+    // Columns (CSC) from the rows, in row order, so each column lists its
+    // rows ascending.
+    std::vector<int>& col_start = ws_.col_start;
+    col_start.assign(static_cast<std::size_t>(ws_.total) + 1, 0);
+    for (const auto& entry : ws_.row_entries) {
+      ++col_start[static_cast<std::size_t>(entry.var) + 1];
+    }
+    for (std::size_t j = 1; j < col_start.size(); ++j) col_start[j] += col_start[j - 1];
+    ws_.col_entries.resize(ws_.row_entries.size());
+    std::vector<int> fill(col_start.begin(), col_start.end() - 1);
+    for (int i = 0; i < m; ++i) {
+      for (const auto& entry : ws_.row(i)) {
+        ws_.col_entries[static_cast<std::size_t>(fill[static_cast<std::size_t>(entry.var)]++)] =
+            {i, entry.value};
       }
     }
 
@@ -556,8 +582,8 @@ class SimplexEngine {
     return d;
   }
 
-  // Rebuilds the dense anchor inverse from the current basis columns, then
-  // recomputes the basic values.
+  // Rebuilds the anchor from the current basis columns, then recomputes the
+  // basic values.
   bool refactorize() {
     basis_cols_.clear();
     basis_cols_.reserve(static_cast<std::size_t>(ws_.m));
@@ -730,25 +756,24 @@ class SimplexEngine {
     int degenerate_streak = 0;
     basis_.reset_refactor_counter();
 
-    // Dual maintenance. The historical kernel recomputes y = c_B^T B^-1 by
-    // a full BTRAN every pivot — the single most expensive operation in the
-    // solve (phase 1's all-artificial cost vector makes c_B dense). The eta
-    // kernel instead updates the duals in O(nnz(rho)) per pivot from the
-    // identity y' = y + (d_q / w_r) * rho, where d_q is the entering
-    // column's reduced cost, w_r the pivot element, and rho the (pre-pivot)
-    // pivot row it already computes. Accumulated rounding is bounded by
-    // refreshing the duals at every reinversion, and optimality is never
-    // declared on updated duals: pricing out triggers one exact recompute
-    // and a re-price, so the termination conditions match the historical
-    // kernel's. The Bland anti-cycling regime also recomputes exactly every
-    // pivot — its guarantees assume exact reduced costs.
+    // Dual maintenance. A full BTRAN of y = c_B^T B^-1 every pivot would be
+    // the single most expensive operation in the solve (phase 1's
+    // all-artificial cost vector makes c_B dense). Instead the duals are
+    // updated in O(nnz(rho)) per pivot from the identity
+    // y' = y + (d_q / w_r) * rho, where d_q is the entering column's reduced
+    // cost, w_r the pivot element, and rho the (pre-pivot) pivot row that
+    // pricing needs anyway. Accumulated rounding is bounded by refreshing
+    // the duals at every reinversion, and optimality is never declared on
+    // updated duals: pricing out triggers one exact recompute and a
+    // re-price, so the termination conditions are those of exact duals. The
+    // Bland anti-cycling regime also recomputes exactly every pivot — its
+    // guarantees assume exact reduced costs.
     //
     // Pricing reads cached reduced costs d_ and merits. Every exact BTRAN
     // refreshes all of them; an updated y moves only on rho's nonzero rows,
     // so a pivot re-prices just the columns meeting those rows (plus the
     // leaving column), each by the same column-wise formula — the cache
     // always holds what a fresh pass would compute.
-    const bool incremental_duals = basis_.kernel() == BasisKernel::kEtaFile;
     bool y_valid = false;  // y matches the current basis (exactly or updated)
     bool y_exact = false;  // y came from a full BTRAN, not rho updates
 
@@ -760,12 +785,12 @@ class SimplexEngine {
     // optimality tolerance) is identical to Dantzig's, so the pricing rule
     // changes only the pivot path, never the optimality conditions.
     //
-    // Devex prices phase 2 only. The phase-1 composite objective is
-    // transient and its all-artificial starting basis makes the reference
-    // frame uninformative — measured on this workload, devex phase 1 costs
-    // 15-20% more pivots than Dantzig, while devex phase 2 saves 8% across
-    // the Benders pipeline's warm re-solves.
-    const bool devex = options_.pricing == PricingRule::kDevex && !phase1;
+    // Devex prices phase 2 only; phase 1 prices by Dantzig. The phase-1
+    // composite objective is transient and its all-artificial starting basis
+    // makes the reference frame uninformative — measured on this workload,
+    // devex phase 1 costs 15-20% more pivots than Dantzig, while devex
+    // phase 2 saves 8% across the Benders pipeline's warm re-solves.
+    const bool devex = !phase1;
     std::vector<double> devex_weight;
     if (devex) devex_weight.assign(static_cast<std::size_t>(ws_.total), 1.0);
     constexpr double kDevexResetThreshold = 1e7;
@@ -786,7 +811,7 @@ class SimplexEngine {
       }
       // Pricing.
       const bool use_bland = degenerate_streak > options_.degenerate_pivot_limit;
-      if (!incremental_duals || use_bland || !y_valid) {
+      if (use_bland || !y_valid) {
         compute_duals(cost, y);
         price_all(cost, y, devex, devex_weight);
         y_valid = true;
@@ -794,7 +819,7 @@ class SimplexEngine {
       }
       double entering_dir = 0.0;
       int entering = select_entering(use_bland, entering_dir);
-      if (entering < 0 && incremental_duals && !y_exact) {
+      if (entering < 0 && !y_exact) {
         // Priced out on updated duals: verify against an exact recompute
         // before declaring dual feasibility.
         compute_duals(cost, y);
@@ -886,12 +911,11 @@ class SimplexEngine {
       // The pre-pivot row of the inverse serves the devex weight update,
       // the incremental dual update and the re-price, so one kernel call
       // and one scatter cover all three.
-      const bool need_rho = devex || (incremental_duals && !use_bland);
-      if (need_rho) {
+      if (devex || !use_bland) {
         basis_.pivot_row(leaving, rho_, rho_rows_);
         scatter_pivot_row();
       }
-      if (incremental_duals && !use_bland) {
+      if (!use_bland) {
         const double d_q = d_[static_cast<std::size_t>(entering)];
         const double theta_d = d_q / w[static_cast<std::size_t>(leaving)];
         if (theta_d != 0.0) {
@@ -948,8 +972,8 @@ class SimplexEngine {
         }
       }
 
-      // Kernel pivot accounting: dense elimination or an eta append; a true
-      // return means the periodic interval or the drift trigger fired.
+      // Kernel pivot accounting: an eta append; a true return means the
+      // periodic interval or the drift trigger fired.
       if (basis_.update(leaving, w)) {
         if (!refactorize()) return SolveStatus::kIterationLimit;
         y_valid = false;  // refresh the duals from the clean anchor

@@ -3,29 +3,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/basis.h"
 #include "lp/model.h"
 #include "util/deadline.h"
 
 namespace prete::lp {
-
-// Entering-variable selection rule for the pivot loop.
-//
-// kDantzig picks the most negative reduced cost — cheap per iteration but
-// iteration counts grow sharply on TWAN-scale masters. kDevex (Forrest &
-// Goldfarb reference-framework devex) weighs each reduced cost by an
-// approximate steepest-edge norm and takes fewer pivots on the TE
-// formulations; it applies to phase 2 only (phase 1, whose transient
-// composite objective starts from an all-artificial frame, always prices by
-// Dantzig). Neither rule scans the matrix per pivot: reduced costs and
-// merits are cached, a pivot re-prices only the columns that meet the
-// pivot row's nonzeros (and updates their devex weights from the same
-// row-wise scatter), and the entering column is read off a tournament tree
-// of merits. Both rules are pure functions of the model and warm-start hint
-// (ties break toward the lowest column index), so solve sequences stay
-// deterministic at any thread count; the Bland anti-cycling regime
-// overrides either rule after a degenerate streak.
-enum class PricingRule : std::uint8_t { kDantzig, kDevex };
 
 struct SimplexOptions {
   // Primal feasibility tolerance on bound/constraint violation.
@@ -35,33 +16,17 @@ struct SimplexOptions {
   // 0 means "choose automatically from problem size".
   int max_iterations = 0;
   // Rebuild the basis inverse from scratch every this many pivots to bound
-  // numerical drift of the product-form updates. The eta-file kernel also
-  // reinverts early when an appended eta column's magnitude spread signals
-  // drift (see BasisState::update).
+  // numerical drift of the product-form updates. The kernel also reinverts
+  // early when an appended eta column's magnitude spread signals drift (see
+  // BasisState::update).
   int refactor_interval = 128;
-  // Basis-inverse representation (see lp::BasisKernel). kEtaFile replaces
-  // the O(m^2)-per-pivot dense inverse update with an O(nnz) eta append plus
-  // periodic dense reinversion; kDenseBinv is the historical kernel, kept as
-  // the bit-compatible reference for equivalence tests and the bench gate.
-  BasisKernel kernel = BasisKernel::kEtaFile;
-  // Basis dimension at or above which the eta kernel's reinversion anchor
-  // switches from the explicit dense inverse (O(m^2) memory, O(m^3)
-  // rebuild) to the Markowitz-ordered sparse LU factorization whose cost
-  // tracks the basis nonzero count (see lp::LuFactorization). The default
-  // is set from the lu_anchor phase of bench_runtime_scaling: below a few
-  // hundred rows the dense anchor's contiguous sweeps win; by a thousand
-  // rows the sparse factors win decisively. Tests pin the anchor with 1
-  // (always LU) or INT_MAX (never LU). Ignored by kDenseBinv.
+  // Basis dimension at or above which the reinversion anchor switches from
+  // the explicit inverse (stored sparse, rebuilt by Gauss-Jordan) to the
+  // Markowitz-ordered sparse LU factorization whose cost tracks the basis
+  // nonzero count (see lp::LuFactorization). The default is set from the
+  // lu_anchor phase of bench_runtime_scaling. Tests pin the anchor with 1
+  // (always LU) or INT_MAX (never LU).
   int lu_threshold = 512;
-  // Run lp::presolve ahead of the solve and lift the reduced solution back
-  // (see lp::solve_with_presolve). Honored by lp::BranchAndBound root and
-  // node relaxations via its own wiring; the raw SimplexSolver ignores it
-  // because presolve re-indexes rows, and every raw-solver call site in the
-  // Benders stack consumes `duals` positionally against the original row
-  // order to build cuts — lifting duals through eliminated rows would need
-  // the dropped multipliers that presolve discards. Branch-and-bound never
-  // reads duals, so the flag lives safely there.
-  bool presolve = false;
   // Candidate-list partial pricing: choose the entering column from a
   // rotating window of this many columns, advancing the window only when it
   // prices out (no eligible column); optimality is declared only after a
@@ -76,7 +41,7 @@ struct SimplexOptions {
   // eligible column.
   //
   // The window no longer saves work: pricing is incremental (see
-  // PricingRule), and a windowed pick is two range queries on the merit
+  // SimplexSolver), and a windowed pick is two range queries on the merit
   // tree instead of one. It stays because it sets the pivot path of the
   // column-dominated solves that engage it (under 2% of b4_degradation's),
   // so removing it would move their decisions' digests.
@@ -84,8 +49,6 @@ struct SimplexOptions {
   // Switch to Bland's anti-cycling rule after this many consecutive
   // degenerate pivots.
   int degenerate_pivot_limit = 200;
-  // Entering-variable selection rule (see PricingRule).
-  PricingRule pricing = PricingRule::kDevex;
   // Optional cooperative budget, checked (and charged one pivot) at every
   // pivot of both phases. On expiry the solve stops with kIterationLimit;
   // if phase 2 had begun, the returned solution still carries the current
@@ -136,10 +99,26 @@ struct SimplexBasis {
 };
 
 // Two-phase bounded-variable revised primal simplex. The basis inverse is
-// kept either as an explicit dense matrix or (the default) as a product-form
-// eta file anchored at periodic dense reinversions — see BasisKernel.
-// Designed for the mid-sized LPs produced by the TE formulations (hundreds
-// to a few thousand rows once lazy row generation is applied).
+// kept as a product-form eta file anchored at periodic reinversions — see
+// BasisState. Designed for the mid-sized LPs produced by the TE formulations
+// (hundreds to a few thousand rows once lazy row generation is applied).
+//
+// Pricing. Phase 2 prices by devex (Forrest & Goldfarb reference-framework
+// devex): each reduced cost is weighed by an approximate steepest-edge norm,
+// which takes fewer pivots on the TE formulations than the most negative
+// reduced cost. Phase 1, whose transient composite objective starts from an
+// all-artificial frame, prices by the most negative reduced cost (Dantzig).
+// Neither rule scans the matrix per pivot: reduced costs and merits are
+// cached, a pivot re-prices only the columns that meet the pivot row's
+// nonzeros (and updates their devex weights from the same row-wise
+// scatter), and the entering column is read off a tournament tree of
+// merits. Both rules are pure functions of the model and warm-start hint
+// (ties break toward the lowest column index), so solve sequences stay
+// deterministic at any thread count; the Bland anti-cycling regime
+// overrides either rule after a degenerate streak.
+//
+// A row that lists a variable more than once is read as one entry holding
+// the sum of its coefficients.
 //
 // The returned duals are shadow prices d(objective)/d(rhs) in the model's
 // own sense (for kMaximize they are the derivatives of the maximum).

@@ -52,7 +52,9 @@ double ftran_residual(const std::vector<std::vector<Coefficient>>& cols,
   return worst;
 }
 
-class ScaledBasisRegression : public ::testing::TestWithParam<BasisKernel> {};
+// Parameterized by lu_threshold: 1 pins the LU anchor, INT_MAX the explicit
+// inverse.
+class ScaledBasisRegression : public ::testing::TestWithParam<int> {};
 
 TEST_P(ScaledBasisRegression, TinyButWellConditionedBasisRefactorizes) {
   // Every entry ~1e-13: below the historical absolute 1e-12 pivot cutoff,
@@ -61,7 +63,7 @@ TEST_P(ScaledBasisRegression, TinyButWellConditionedBasisRefactorizes) {
   constexpr int kDim = 10;
   const auto cols = scaled_basis(kDim, 1e-13, 42);
   BasisState basis;
-  basis.configure(GetParam(), 128);
+  basis.configure(128, GetParam());
   ASSERT_TRUE(basis.refactorize(column_pointers(cols)))
       << "well-conditioned basis misclassified as singular";
 
@@ -77,7 +79,7 @@ TEST_P(ScaledBasisRegression, TinyButWellConditionedBasisRefactorizes) {
 TEST_P(ScaledBasisRegression, HugeBasisRefactorizes) {
   const auto cols = scaled_basis(8, 1e14, 7);
   BasisState basis;
-  basis.configure(GetParam(), 128);
+  basis.configure(128, GetParam());
   EXPECT_TRUE(basis.refactorize(column_pointers(cols)));
 }
 
@@ -85,18 +87,16 @@ TEST_P(ScaledBasisRegression, TrulySingularBasisStillRejected) {
   auto cols = scaled_basis(8, 1.0, 11);
   cols[5] = cols[1];  // duplicate column: exactly singular
   BasisState basis;
-  basis.configure(GetParam(), 128);
+  basis.configure(128, GetParam());
   EXPECT_FALSE(basis.refactorize(column_pointers(cols)));
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, ScaledBasisRegression,
-                         ::testing::Values(BasisKernel::kDenseBinv,
-                                           BasisKernel::kEtaFile));
+INSTANTIATE_TEST_SUITE_P(Anchors, ScaledBasisRegression, ::testing::Values(1, INT_MAX));
 
 TEST(BasisStateLuAnchorTest, ScaledAndSingularBasesUnderLuAnchor) {
   // The same two regressions with the sparse LU forced as the anchor.
   BasisState basis;
-  basis.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/1);
+  basis.configure(128, /*lu_threshold=*/1);
 
   const auto tiny = scaled_basis(10, 1e-13, 42);
   ASSERT_TRUE(basis.refactorize(column_pointers(tiny)));
@@ -113,22 +113,16 @@ TEST(BasisStateLuAnchorTest, ThresholdSelectsAnchor) {
   const auto ptrs = column_pointers(cols);
 
   BasisState below;
-  below.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/7);
+  below.configure(128, /*lu_threshold=*/7);
   ASSERT_TRUE(below.refactorize(ptrs));
   EXPECT_FALSE(below.anchor_is_lu());
   EXPECT_EQ(below.stats().lu_reinversions, 0);
 
   BasisState at;
-  at.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/6);
+  at.configure(128, /*lu_threshold=*/6);
   ASSERT_TRUE(at.refactorize(ptrs));
   EXPECT_TRUE(at.anchor_is_lu());
   EXPECT_EQ(at.stats().lu_reinversions, 1);
-
-  // The dense kernel never routes through the LU regardless of threshold.
-  BasisState dense;
-  dense.configure(BasisKernel::kDenseBinv, 128, /*lu_threshold=*/1);
-  ASSERT_TRUE(dense.refactorize(ptrs));
-  EXPECT_FALSE(dense.anchor_is_lu());
 }
 
 TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
@@ -139,10 +133,10 @@ TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
   const auto ptrs = column_pointers(cols);
 
   BasisState explicit_anchor;
-  explicit_anchor.configure(BasisKernel::kEtaFile, 128, INT_MAX);
+  explicit_anchor.configure(128, INT_MAX);
   ASSERT_TRUE(explicit_anchor.refactorize(ptrs));
   BasisState lu_anchor;
-  lu_anchor.configure(BasisKernel::kEtaFile, 128, 1);
+  lu_anchor.configure(128, 1);
   ASSERT_TRUE(lu_anchor.refactorize(ptrs));
 
   util::Rng rng(23);
@@ -194,10 +188,10 @@ TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
   }
 }
 
-// Dense reference of the eta kernel with an explicit anchor: the in-place
+// Dense reference of the kernel with an explicit anchor: the in-place
 // Gauss-Jordan inverse of the anchor basis, stored and swept as a dense
 // m x m matrix, and the same product-form eta file. Every loop keeps the
-// operation order of the dense kernel the sparse anchor replaced, so the
+// operation order of the dense explicit anchor the sparse one replaced, so the
 // kernel must match it bit for bit (the sparse sweeps skip only exact-zero
 // terms, which can at most flip the sign of a zero; == ignores that).
 class DenseReference {
@@ -397,7 +391,7 @@ TEST_P(SparseAnchorProperty, KernelMatchesDenseReference) {
     const int m = 4 + static_cast<int>(rng.next_below(57));
     auto cols = random_sparse_basis(m, rng);
     BasisState basis;
-    basis.configure(BasisKernel::kEtaFile, 1 << 20, lu_threshold);
+    basis.configure(1 << 20, lu_threshold);
     ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
     ASSERT_EQ(basis.anchor_is_lu(), lu_threshold == 1);
     DenseReference reference;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <vector>
 
@@ -82,6 +83,37 @@ TEST(BranchAndBoundTest, MixedIntegerProblem) {
   const Solution s = BranchAndBound().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 6.7, 1e-6);
+}
+
+TEST(BranchAndBoundTest, FractionallyFixedIntegerInfeasible) {
+  // The equality 2z = 1 admits only z = 0.5, so branching on the integer z
+  // must prove the model infeasible.
+  Model m(Sense::kMaximize);
+  const int z = m.add_integer(0, 4, 1.0, "z");
+  m.add_row({{z, 2.0}}, RowType::kEqual, 1.0);
+  EXPECT_EQ(BranchAndBound().solve(m).status, SolveStatus::kInfeasible);
+}
+
+TEST(BranchAndBoundTest, RepeatedVariableInRowIsSummed) {
+  // x0 + 2*x0 + x1 <= 6 is 3*x0 + x1 <= 6: with x1 <= 1 and x0 >= x1 the
+  // relaxation peaks at x0 = 5/3, so the integer x0 stops at 1. Reading only
+  // the last duplicate (2*x0 + x1 <= 6) would admit x0 = 2.
+  for (const int lu_threshold : {1, INT_MAX}) {
+    SCOPED_TRACE(lu_threshold == 1 ? "LU anchor" : "explicit anchor");
+    Model m(Sense::kMaximize);
+    const int x0 = m.add_integer(0, 10, 1.0, "x0");
+    const int x1 = m.add_variable(0, kInfinity, 1.0, "x1");
+    m.add_row({{x0, 1.0}, {x0, 2.0}, {x1, 1.0}}, RowType::kLessEqual, 6.0);
+    m.add_row({{x1, 1.0}}, RowType::kLessEqual, 1.0);
+    m.add_row({{x0, 1.0}, {x1, -1.0}}, RowType::kGreaterEqual, 0.0);
+    BranchAndBoundOptions options;
+    options.simplex.lu_threshold = lu_threshold;
+    const Solution s = BranchAndBound(options).solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(s.objective, 2.0, 1e-9);
+    EXPECT_EQ(s.x[static_cast<std::size_t>(x0)], 1.0);
+    EXPECT_LT(m.max_violation(s.x), 1e-9);
+  }
 }
 
 // Property: B&B on random small knapsacks must match brute-force enumeration.

@@ -7,17 +7,17 @@
 #include <span>
 #include <vector>
 
+#include "certificate.h"
 #include "lp/lu.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "util/arena.h"
 #include "util/rng.h"
 
-// Sparse Markowitz-LU anchor properties, mirroring the PR-5 kernel suite:
-// unit-level residual checks of the factorization and its triangular solves,
-// then solver-level equivalence of the three kernel configurations — dense,
-// eta + explicit-inverse anchor, eta + LU anchor — across random models,
-// warm starts, the Bland anti-cycling regime, and drift reinversion. The LU
+// Sparse Markowitz-LU anchor properties: unit-level residual checks of the
+// factorization and its triangular solves, then solver-level equivalence of
+// the two anchors — explicit inverse and LU — across random models, warm
+// starts, the Bland anti-cycling regime, and drift reinversion. The LU
 // anchor represents exactly the same inverse as the explicit anchor, so the
 // solves must land on the same vertex.
 
@@ -316,10 +316,9 @@ Model random_feasible_lp(std::uint64_t seed) {
 // interval makes even the small random models reinvert mid-solve, so the
 // anchor under test actually carries pivoting state (cold starts alone never
 // refactorize — they begin from the diagonal reset).
-SimplexOptions anchor_options(BasisKernel kernel, int lu_threshold) {
+SimplexOptions anchor_options(int lu_threshold) {
   SimplexOptions options;
-  options.kernel = kernel;
-  options.pricing_window = -1;  // full pricing: kernel is the only variable
+  options.pricing_window = -1;  // full pricing: the anchor is the only variable
   options.lu_threshold = lu_threshold;
   options.refactor_interval = 4;
   return options;
@@ -344,14 +343,9 @@ class LuAnchorEquivalenceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(LuAnchorEquivalenceProperty, LuMatchesExplicitAndDenseCold) {
   const Model m = random_feasible_lp(static_cast<std::uint64_t>(GetParam()));
-  const Solution dense =
-      SimplexSolver(anchor_options(BasisKernel::kDenseBinv, INT_MAX)).solve(m);
-  const Solution explicit_anchor =
-      SimplexSolver(anchor_options(BasisKernel::kEtaFile, INT_MAX)).solve(m);
-  const Solution lu_anchor =
-      SimplexSolver(anchor_options(BasisKernel::kEtaFile, 1)).solve(m);
-  expect_equivalent(m, dense, explicit_anchor, "explicit vs dense");
-  expect_equivalent(m, dense, lu_anchor, "lu vs dense");
+  const Solution explicit_anchor = SimplexSolver(anchor_options(INT_MAX)).solve(m);
+  const Solution lu_anchor = SimplexSolver(anchor_options(1)).solve(m);
+  EXPECT_TRUE(is_certified_optimal(m, lu_anchor));
   expect_equivalent(m, explicit_anchor, lu_anchor, "lu vs explicit");
   // The counter proves the LU anchor really carried the solve. The periodic
   // counter resets per phase, so only >= 7 total pivots guarantee one phase
@@ -365,11 +359,8 @@ TEST_P(LuAnchorEquivalenceProperty, LuMatchesExplicitAndDenseCold) {
 TEST_P(LuAnchorEquivalenceProperty, LuMatchesExplicitUnderFrequentReinversion) {
   const Model m =
       random_feasible_lp(static_cast<std::uint64_t>(1300 + GetParam()));
-  const SimplexOptions explicit_opts =
-      anchor_options(BasisKernel::kEtaFile, INT_MAX);
-  const SimplexOptions lu_opts = anchor_options(BasisKernel::kEtaFile, 1);
-  const Solution a = SimplexSolver(explicit_opts).solve(m);
-  const Solution b = SimplexSolver(lu_opts).solve(m);
+  const Solution a = SimplexSolver(anchor_options(INT_MAX)).solve(m);
+  const Solution b = SimplexSolver(anchor_options(1)).solve(m);
   expect_equivalent(m, a, b, "lu vs explicit, interval 4");
   // floor(p1 / 4) + floor(p2 / 4) >= (iterations - 6) / 4: at 14 pivots at
   // least two periodic reinversions fired regardless of the phase split.
@@ -382,13 +373,11 @@ TEST_P(LuAnchorEquivalenceProperty, LuWarmStartMatchesCold) {
   const Model m =
       random_feasible_lp(static_cast<std::uint64_t>(2700 + GetParam()));
   SimplexBasis basis;
-  const Solution cold = SimplexSolver(anchor_options(BasisKernel::kEtaFile, 1))
-                            .solve(m, nullptr, &basis);
+  const Solution cold = SimplexSolver(anchor_options(1)).solve(m, nullptr, &basis);
   if (cold.status != SolveStatus::kOptimal) return;
   // Installing the optimal basis refactorizes through the LU anchor and must
   // terminate without a pivot at the same point.
-  const Solution warm = SimplexSolver(anchor_options(BasisKernel::kEtaFile, 1))
-                            .solve(m, &basis, nullptr);
+  const Solution warm = SimplexSolver(anchor_options(1)).solve(m, &basis, nullptr);
   expect_equivalent(m, cold, warm, "lu warm");
   EXPECT_EQ(warm.iterations, 0) << "optimal hint should not pivot";
   EXPECT_GE(warm.lu_reinversions, 1);
@@ -398,11 +387,10 @@ TEST_P(LuAnchorEquivalenceProperty, LuWarmStartMatchesCold) {
   // agnostic.
   SimplexBasis explicit_basis;
   const Solution explicit_cold =
-      SimplexSolver(anchor_options(BasisKernel::kEtaFile, INT_MAX))
-          .solve(m, nullptr, &explicit_basis);
+      SimplexSolver(anchor_options(INT_MAX)).solve(m, nullptr, &explicit_basis);
   ASSERT_EQ(explicit_cold.status, SolveStatus::kOptimal);
-  const Solution cross = SimplexSolver(anchor_options(BasisKernel::kEtaFile, 1))
-                             .solve(m, &explicit_basis, nullptr);
+  const Solution cross =
+      SimplexSolver(anchor_options(1)).solve(m, &explicit_basis, nullptr);
   expect_equivalent(m, explicit_cold, cross, "cross-anchor warm");
 }
 
@@ -414,9 +402,8 @@ TEST(LuAnchorBlandTest, AntiCyclingRegimeMatchesExplicitAnchor) {
   // pivot_row path (BTRAN through the LU anchor) on every ratio-test tie.
   for (int seed = 1; seed <= 8; ++seed) {
     const Model m = random_feasible_lp(static_cast<std::uint64_t>(5100 + seed));
-    SimplexOptions explicit_opts =
-        anchor_options(BasisKernel::kEtaFile, INT_MAX);
-    SimplexOptions lu_opts = anchor_options(BasisKernel::kEtaFile, 1);
+    SimplexOptions explicit_opts = anchor_options(INT_MAX);
+    SimplexOptions lu_opts = anchor_options(1);
     explicit_opts.degenerate_pivot_limit = 1;
     lu_opts.degenerate_pivot_limit = 1;
     const Solution a = SimplexSolver(explicit_opts).solve(m);
@@ -426,9 +413,9 @@ TEST(LuAnchorBlandTest, AntiCyclingRegimeMatchesExplicitAnchor) {
 }
 
 TEST(LuAnchorDriftTest, IllConditionedChainForcesEarlyReinversion) {
-  // The PR-5 drift chain, solved with the LU anchor: the cascading (3e4)^k
-  // inverse entries must still trip the eta drift trigger, and the forced
-  // reinversions now rebuild a sparse LU.
+  // The KernelDriftTest chain, solved with the LU anchor: the cascading
+  // (3e4)^k inverse entries must still trip the eta drift trigger, and the
+  // forced reinversions rebuild a sparse LU.
   constexpr int kChain = 12;
   constexpr double kFactor = 3e4;
   Model m(Sense::kMinimize);
@@ -444,29 +431,24 @@ TEST(LuAnchorDriftTest, IllConditionedChainForcesEarlyReinversion) {
   m.add_row({{x[static_cast<std::size_t>(kChain - 1)], 1.0}},
             RowType::kLessEqual, 2.0);
 
-  SimplexOptions lu_opts = anchor_options(BasisKernel::kEtaFile, 1);
+  SimplexOptions lu_opts = anchor_options(1);
   lu_opts.refactor_interval = 1 << 20;  // periodic trigger out of reach
   const Solution lu = SimplexSolver(lu_opts).solve(m);
   ASSERT_EQ(lu.status, SolveStatus::kOptimal);
   EXPECT_GE(lu.reinversions, 1) << "drift trigger never fired";
   EXPECT_GE(lu.lu_reinversions, 1);
-
-  SimplexOptions dense_opts = anchor_options(BasisKernel::kDenseBinv, INT_MAX);
-  dense_opts.refactor_interval = 1 << 20;
-  const Solution dense = SimplexSolver(dense_opts).solve(m);
-  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(lu.objective / dense.objective, 1.0, 1e-9);
+  EXPECT_TRUE(is_certified_optimal(m, lu));
 }
 
 TEST(LuAnchorThresholdTest, AutoSelectionFollowsBasisDimension) {
   const Model m = random_feasible_lp(31415);
   const int rows = m.num_rows();
   // Threshold above the row count: explicit anchor, no LU reinversions.
-  SimplexOptions above = anchor_options(BasisKernel::kEtaFile, rows + 1);
+  SimplexOptions above = anchor_options(rows + 1);
   const Solution no_lu = SimplexSolver(above).solve(m);
   EXPECT_EQ(no_lu.lu_reinversions, 0);
   // Threshold at the row count: every anchor is the sparse LU.
-  SimplexOptions at = anchor_options(BasisKernel::kEtaFile, rows);
+  SimplexOptions at = anchor_options(rows);
   const Solution with_lu = SimplexSolver(at).solve(m);
   if (with_lu.status == SolveStatus::kOptimal && with_lu.iterations >= 7) {
     EXPECT_GE(with_lu.lu_reinversions, 1);

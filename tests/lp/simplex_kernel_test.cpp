@@ -4,17 +4,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "certificate.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
 
-// Kernel-equivalence properties: the eta-file kernel (product-form inverse
-// with periodic/drift reinversion) and the dense-binv kernel (the historical
-// bit-compatible reference) must agree on every solve — same status, bitwise
-// the same objective, and the same point to tight tolerance — across random
-// models, cold and warm starts, and both pricing modes. The two kernels
-// represent the same inverse, so any disagreement beyond rounding is a bug
-// in the eta application order.
+// Kernel properties on random models: every optimum the kernel returns
+// carries an anchor-free certificate (see certificate.h), partial pricing
+// reaches the same optimum as full pricing, an exported optimal basis
+// warm-starts without a pivot, and the reinversion triggers fire.
 
 namespace prete::lp {
 namespace {
@@ -56,86 +54,49 @@ Model random_feasible_lp(std::uint64_t seed) {
   return m;
 }
 
-SimplexOptions kernel_options(BasisKernel kernel, int pricing_window) {
+SimplexOptions pricing_options(int pricing_window) {
   SimplexOptions options;
-  options.kernel = kernel;
   options.pricing_window = pricing_window;
   return options;
 }
 
-void expect_equivalent(const Model& m, const Solution& reference,
-                       const Solution& candidate, const char* label) {
-  ASSERT_EQ(reference.status, candidate.status) << label;
-  if (reference.status != SolveStatus::kOptimal) return;
-  // Both kernels must terminate at the same vertex. On arbitrary random
-  // models the two arithmetic paths can differ in the last ulps (the bench
-  // gate asserts full bitwise equality on the structured TE workloads, whose
-  // optima are exactly representable), so objectives compare at 1e-9
-  // relative here.
-  EXPECT_NEAR(reference.objective, candidate.objective,
-              1e-9 * (1.0 + std::abs(reference.objective)))
-      << label;
-  ASSERT_EQ(reference.x.size(), candidate.x.size()) << label;
-  for (std::size_t j = 0; j < reference.x.size(); ++j) {
-    EXPECT_NEAR(reference.x[j], candidate.x[j], 1e-9) << label << " x[" << j << "]";
+class CertifiedOptimumProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(CertifiedOptimumProperty, ColdSolveAndOptimalWarmStart) {
+  for (const int seed : {GetParam(), 900 + GetParam()}) {
+    SCOPED_TRACE(seed);
+    const Model m = random_feasible_lp(static_cast<std::uint64_t>(seed));
+    SimplexBasis basis;
+    const Solution cold = SimplexSolver(pricing_options(-1)).solve(m, nullptr, &basis);
+    ASSERT_TRUE(is_certified_optimal(m, cold));
+    // The exported basis is optimal, so re-solving from it must terminate
+    // without a pivot, at a certified optimum of the same value.
+    const Solution warm = SimplexSolver(pricing_options(-1)).solve(m, &basis, nullptr);
+    EXPECT_TRUE(is_certified_optimal(m, warm));
+    EXPECT_EQ(warm.iterations, 0) << "optimal hint should not pivot";
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * (1.0 + std::abs(cold.objective)));
   }
-  EXPECT_LT(m.max_violation(candidate.x), 1e-6) << label;
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CertifiedOptimumProperty, ::testing::Range(1, 25));
 
 class KernelEquivalenceProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(KernelEquivalenceProperty, EtaMatchesDenseCold) {
-  const Model m = random_feasible_lp(static_cast<std::uint64_t>(GetParam()));
-  // Full pricing on both sides isolates the kernel as the only difference.
-  const Solution dense =
-      SimplexSolver(kernel_options(BasisKernel::kDenseBinv, -1)).solve(m);
-  const Solution eta =
-      SimplexSolver(kernel_options(BasisKernel::kEtaFile, -1)).solve(m);
-  expect_equivalent(m, dense, eta, "eta vs dense");
-}
-
 TEST_P(KernelEquivalenceProperty, PartialPricingMatchesFull) {
   const Model m = random_feasible_lp(static_cast<std::uint64_t>(500 + GetParam()));
-  SimplexOptions full = kernel_options(BasisKernel::kEtaFile, -1);
   // A tiny window forces the rotation machinery through several laps.
-  SimplexOptions partial = kernel_options(BasisKernel::kEtaFile, 4);
-  const Solution a = SimplexSolver(full).solve(m);
-  const Solution b = SimplexSolver(partial).solve(m);
-  expect_equivalent(m, a, b, "partial vs full pricing");
+  const Solution full = SimplexSolver(pricing_options(-1)).solve(m);
+  const Solution partial = SimplexSolver(pricing_options(4)).solve(m);
+  ASSERT_TRUE(is_certified_optimal(m, full));
+  EXPECT_TRUE(is_certified_optimal(m, partial));
+  EXPECT_NEAR(partial.objective, full.objective, 1e-9 * (1.0 + std::abs(full.objective)));
 }
 
-TEST_P(KernelEquivalenceProperty, EtaMatchesDenseWarmStart) {
-  const Model m = random_feasible_lp(static_cast<std::uint64_t>(900 + GetParam()));
-  SimplexBasis dense_basis;
-  SimplexBasis eta_basis;
-  const Solution dense_cold =
-      SimplexSolver(kernel_options(BasisKernel::kDenseBinv, -1))
-          .solve(m, nullptr, &dense_basis);
-  const Solution eta_cold =
-      SimplexSolver(kernel_options(BasisKernel::kEtaFile, -1))
-          .solve(m, nullptr, &eta_basis);
-  expect_equivalent(m, dense_cold, eta_cold, "cold");
-  if (dense_cold.status != SolveStatus::kOptimal) return;
-
-  // Re-solving from the exported basis must terminate immediately (the hint
-  // is optimal) under either kernel and agree with the cold solves.
-  const Solution dense_warm =
-      SimplexSolver(kernel_options(BasisKernel::kDenseBinv, -1))
-          .solve(m, &dense_basis, nullptr);
-  const Solution eta_warm =
-      SimplexSolver(kernel_options(BasisKernel::kEtaFile, -1))
-          .solve(m, &eta_basis, nullptr);
-  expect_equivalent(m, dense_cold, dense_warm, "dense warm");
-  expect_equivalent(m, dense_cold, eta_warm, "eta warm");
-  EXPECT_EQ(eta_warm.iterations, 0) << "optimal hint should not pivot";
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceProperty,
-                         ::testing::Range(1, 25));
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceProperty, ::testing::Range(1, 25));
 
 TEST(KernelStatsTest, EtaPeakAndReinversionsReported) {
   const Model m = random_feasible_lp(4242);
-  SimplexOptions options = kernel_options(BasisKernel::kEtaFile, -1);
+  SimplexOptions options = pricing_options(-1);
   options.refactor_interval = 4;  // force several reinversions
   const Solution s = SimplexSolver(options).solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -147,10 +108,6 @@ TEST(KernelStatsTest, EtaPeakAndReinversionsReported) {
     // phase 1 plus a full phase-2 interval.
     EXPECT_LE(s.eta_peak, 2 * 4);
   }
-  // The dense kernel never grows an eta file.
-  const Solution dense =
-      SimplexSolver(kernel_options(BasisKernel::kDenseBinv, -1)).solve(m);
-  EXPECT_EQ(dense.eta_peak, 0);
 }
 
 // Drift regression: a cascading equality chain with factor 3e4 per row makes
@@ -158,8 +115,8 @@ TEST(KernelStatsTest, EtaPeakAndReinversionsReported) {
 // cross the eta drift threshold (|w_i| / |w_r| > 1e7) long before any
 // reasonable periodic interval. With the periodic trigger pushed out of
 // reach, only the drift trigger can keep the product form anchored — the
-// regression is that reinversions still happen and the answer still matches
-// the dense reference.
+// regression is that reinversions still happen and the answer is still a
+// certified optimum.
 TEST(KernelDriftTest, IllConditionedChainForcesEarlyReinversion) {
   constexpr int kChain = 12;
   constexpr double kFactor = 3e4;
@@ -176,19 +133,11 @@ TEST(KernelDriftTest, IllConditionedChainForcesEarlyReinversion) {
   m.add_row({{x[static_cast<std::size_t>(kChain - 1)], 1.0}},
             RowType::kLessEqual, 2.0);
 
-  SimplexOptions eta_opts = kernel_options(BasisKernel::kEtaFile, -1);
-  eta_opts.refactor_interval = 1 << 20;  // periodic trigger out of reach
-  const Solution eta = SimplexSolver(eta_opts).solve(m);
-  ASSERT_EQ(eta.status, SolveStatus::kOptimal);
-  EXPECT_GE(eta.reinversions, 1) << "drift trigger never fired";
-
-  SimplexOptions dense_opts = kernel_options(BasisKernel::kDenseBinv, -1);
-  dense_opts.refactor_interval = 1 << 20;
-  const Solution dense = SimplexSolver(dense_opts).solve(m);
-  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
-  // The chain's optimum is unique; the kernels may round the cascading
-  // values differently in the last bits, so compare relatively.
-  EXPECT_NEAR(eta.objective / dense.objective, 1.0, 1e-9);
+  SimplexOptions options = pricing_options(-1);
+  options.refactor_interval = 1 << 20;  // periodic trigger out of reach
+  const Solution s = SimplexSolver(options).solve(m);
+  EXPECT_TRUE(is_certified_optimal(m, s));
+  EXPECT_GE(s.reinversions, 1) << "drift trigger never fired";
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 
+#include "certificate.h"
 #include "lp/model.h"
 #include "util/rng.h"
 
@@ -306,12 +308,12 @@ TEST(SimplexTest, ModeratelyLargeTransportProblem) {
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   // All cost-1 cells can be used (each row/col has them), so optimum = 100.
   EXPECT_NEAR(s.objective, 100.0, 1e-6);
-  EXPECT_LT(m.max_violation(s.x), 1e-6);
+  EXPECT_TRUE(is_certified_optimal(m, s));
 }
 
-// Property: devex and Dantzig pricing are interchangeable in everything but
-// pivot path — same status, same optimal value, and each rule's exported
-// basis is a valid optimal warm start (re-solving from it takes 0 pivots).
+// Property: the incremental devex pricing path ends at a certified optimum,
+// and its exported basis is a valid optimal warm start (re-solving from it
+// takes 0 pivots and returns the same value).
 class PricingEquivalenceProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(PricingEquivalenceProperty, SameOptimumAndReusableBasis) {
@@ -343,77 +345,40 @@ TEST_P(PricingEquivalenceProperty, SameOptimumAndReusableBasis) {
               lhs + rng.uniform(0.0, 2.0));
   }
 
-  SimplexOptions dantzig_opts;
-  dantzig_opts.pricing = PricingRule::kDantzig;
-  SimplexOptions devex_opts;
-  devex_opts.pricing = PricingRule::kDevex;
-
-  SimplexBasis dantzig_basis, devex_basis;
-  const Solution a =
-      SimplexSolver(dantzig_opts).solve(m, nullptr, &dantzig_basis);
-  const Solution b = SimplexSolver(devex_opts).solve(m, nullptr, &devex_basis);
-  ASSERT_EQ(a.status, SolveStatus::kOptimal) << "seed " << GetParam();
-  ASSERT_EQ(b.status, SolveStatus::kOptimal) << "seed " << GetParam();
-  // Both rules must reach the same optimal VALUE; the witness basis may
-  // differ on degenerate ties.
-  EXPECT_NEAR(a.objective, b.objective, 1e-7) << "seed " << GetParam();
-  EXPECT_LT(m.max_violation(b.x), 1e-6);
-
-  // Each exported basis must be optimal for the model it came from: warm
-  // re-solving from it — under either pricing rule — takes zero pivots.
-  for (const SimplexBasis* warm : {&dantzig_basis, &devex_basis}) {
-    ASSERT_TRUE(warm->valid());
-    for (const SimplexOptions* opts : {&dantzig_opts, &devex_opts}) {
-      const Solution again = SimplexSolver(*opts).solve(m, warm, nullptr);
-      ASSERT_EQ(again.status, SolveStatus::kOptimal);
-      EXPECT_EQ(again.iterations, 0) << "seed " << GetParam();
-      EXPECT_NEAR(again.objective, a.objective, 1e-7);
-    }
-  }
+  SimplexBasis basis;
+  const Solution cold = SimplexSolver().solve(m, nullptr, &basis);
+  ASSERT_TRUE(is_certified_optimal(m, cold)) << "seed " << GetParam();
+  ASSERT_TRUE(basis.valid());
+  const Solution again = SimplexSolver().solve(m, &basis, nullptr);
+  EXPECT_TRUE(is_certified_optimal(m, again)) << "seed " << GetParam();
+  EXPECT_EQ(again.iterations, 0) << "seed " << GetParam();
+  EXPECT_NEAR(again.objective, cold.objective, 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PricingEquivalenceProperty,
                          ::testing::Range(1, 25));
 
-TEST(SimplexTest, DevexMatchesDantzigOnTransportProblem) {
-  // Deterministic mid-size instance: both pricings must land on objective
-  // 100 (see ModeratelyLargeTransportProblem) with devex spending no more
-  // pivots than Dantzig.
-  constexpr int kN = 20;
-  Model m(Sense::kMinimize);
-  std::vector<std::vector<int>> x(kN, std::vector<int>(kN));
-  for (int i = 0; i < kN; ++i) {
-    for (int j = 0; j < kN; ++j) {
-      x[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          m.add_variable(0, kInfinity, 1.0 + ((i + j) % 2));
-    }
+// A row that lists a variable twice means the sum of its coefficients:
+// 1*x0 + 2*x0 + x1 <= 6 is 3*x0 + x1 <= 6, so the optimum is (5/3, 1). Both
+// anchors must read it so: an FTRAN that kept only the last duplicate would
+// return the infeasible (2.5, 1).
+TEST(SimplexTest, RepeatedVariableInRowIsSummed) {
+  for (const int lu_threshold : {1, INT_MAX}) {
+    SCOPED_TRACE(lu_threshold == 1 ? "LU anchor" : "explicit anchor");
+    Model m(Sense::kMaximize);
+    const int x0 = m.add_variable(0, kInfinity, 1.0, "x0");
+    const int x1 = m.add_variable(0, kInfinity, 1.0, "x1");
+    m.add_row({{x0, 1.0}, {x0, 2.0}, {x1, 1.0}}, RowType::kLessEqual, 6.0);
+    m.add_row({{x1, 1.0}}, RowType::kLessEqual, 1.0);
+    m.add_row({{x0, 1.0}, {x1, -1.0}}, RowType::kGreaterEqual, 0.0);
+    SimplexOptions options;
+    options.lu_threshold = lu_threshold;
+    const Solution s = SimplexSolver(options).solve(m);
+    EXPECT_TRUE(is_certified_optimal(m, s));
+    ASSERT_EQ(s.x.size(), 2u);
+    EXPECT_NEAR(s.x[static_cast<std::size_t>(x0)], 5.0 / 3.0, 1e-9);
+    EXPECT_NEAR(s.x[static_cast<std::size_t>(x1)], 1.0, 1e-9);
   }
-  for (int i = 0; i < kN; ++i) {
-    std::vector<Coefficient> coefs;
-    for (int j = 0; j < kN; ++j) {
-      coefs.push_back({x[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)], 1.0});
-    }
-    m.add_row(std::move(coefs), RowType::kEqual, 5.0);
-  }
-  for (int j = 0; j < kN; ++j) {
-    std::vector<Coefficient> coefs;
-    for (int i = 0; i < kN; ++i) {
-      coefs.push_back({x[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)], 1.0});
-    }
-    m.add_row(std::move(coefs), RowType::kEqual, 5.0);
-  }
-
-  SimplexOptions dantzig_opts;
-  dantzig_opts.pricing = PricingRule::kDantzig;
-  SimplexOptions devex_opts;
-  devex_opts.pricing = PricingRule::kDevex;
-  const Solution a = SimplexSolver(dantzig_opts).solve(m);
-  const Solution b = SimplexSolver(devex_opts).solve(m);
-  ASSERT_EQ(a.status, SolveStatus::kOptimal);
-  ASSERT_EQ(b.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(a.objective, 100.0, 1e-6);
-  EXPECT_NEAR(b.objective, 100.0, 1e-6);
-  EXPECT_LE(b.iterations, a.iterations);
 }
 
 }  // namespace
