@@ -108,11 +108,8 @@ ScenarioSample run_scenario_phase(const workload::ContinentalWorkload& w,
   sample.dropped_mass = report.dropped_mass;
   for (const te::FailureScenario& s : sample.reduced.scenarios) {
     sample.digest = fold_double(sample.digest, s.probability);
-    for (std::size_t f = 0; f < s.fiber_failed.size(); ++f) {
-      if (s.fiber_failed[f]) {
-        const int fi = static_cast<int>(f);
-        sample.digest = fnv1a(sample.digest, &fi, sizeof(fi));
-      }
+    for (const net::FiberId f : s.failed()) {
+      sample.digest = fnv1a(sample.digest, &f, sizeof(f));
     }
   }
   return sample;

@@ -83,9 +83,7 @@ void affected_fraction() {
     double flow_frac = 0.0;
     double tunnel_frac = 0.0;
     for (net::FiberId f = 0; f < topo.network.num_fibers(); ++f) {
-      std::vector<bool> failed(static_cast<std::size_t>(topo.network.num_fibers()),
-                               false);
-      failed[static_cast<std::size_t>(f)] = true;
+      const std::vector<net::FiberId> failed{f};
       int dead_tunnels = 0;
       std::vector<bool> flow_hit(topo.flows.size(), false);
       for (const net::Tunnel& t : tunnels.tunnels()) {

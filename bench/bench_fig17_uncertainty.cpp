@@ -78,11 +78,7 @@ void figure19(const bench::Context& ctx) {
       worst = f;
     }
   }
-  te::FailureScenario cut;
-  cut.fiber_failed.assign(
-      static_cast<std::size_t>(ctx.topo.network.num_fibers()), false);
-  cut.fiber_failed[static_cast<std::size_t>(worst)] = true;
-  cut.probability = 1.0;
+  const te::FailureScenario cut({worst}, 1.0);
   const auto affected = te::affected_flows(problem, cut, &base_policy);
 
   double workload_affected = 0.0;
@@ -96,7 +92,7 @@ void figure19(const bench::Context& ctx) {
     for (net::TunnelId t : tunnels.tunnels_for_flow(flow.id)) {
       workload_delta += std::abs(jitter_policy.tunnel_allocation(t) -
                                  base_policy.tunnel_allocation(t));
-      const bool alive = tunnels.alive(ctx.topo.network, t, cut.fiber_failed);
+      const bool alive = tunnels.alive(ctx.topo.network, t, cut.failed());
       // Rate adaptation: dead tunnels drop to zero, survivors keep caps.
       capacity_delta +=
           alive ? 0.0 : base_policy.tunnel_allocation(t);

@@ -122,7 +122,7 @@ lp::Model build_subproblem_lp(const te::TeProblem& problem,
     for (std::size_t q = 0; q < slice; ++q) {
       std::vector<lp::Coefficient> coefs;
       for (net::TunnelId t : tunnels.tunnels_for_flow(flow.id)) {
-        if (tunnels.alive(*problem.network, t, Q[q].fiber_failed)) {
+        if (tunnels.alive(*problem.network, t, Q[q].failed())) {
           coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
         }
       }
@@ -391,7 +391,7 @@ CarrySample run_carry_phase(const bench::Context& ctx,
     const auto scenarios = te::generate_failure_scenarios(probs, so);
     std::vector<std::uint64_t> order;
     for (const te::FailureScenario& q : scenarios.scenarios) {
-      order.push_back(te::scenario_signature(q));
+      order.push_back(q.signature());
     }
     if (e > 0 && order != previous_order) ++sample.reordered_epochs;
     previous_order = std::move(order);

@@ -63,9 +63,7 @@ int main() {
   problem.flows = &topo.flows;
   problem.tunnels = &controller.tunnels();
   problem.demands = demands;
-  te::FailureScenario cut;
-  cut.fiber_failed = {true, false, false};
-  cut.probability = 1.0;
+  const te::FailureScenario cut({0}, 1.0);  // fiber 0 carries s1s2
   const auto losses = te::flow_losses(problem, reaction->policy, cut);
   std::cout << "after the s1s2 cut: flow s1s2 loss = " << losses[0]
             << ", flow s1s3 loss = " << losses[1] << "\n";

@@ -294,9 +294,8 @@ void fold_outcome(const net::Topology& topology,
     // every fiber of the SRLG group goes down at once. Losses fold into the
     // digest so the CI thread matrix also witnesses the group-cut
     // evaluation path bit-for-bit.
-    te::FailureScenario scenario;
-    scenario.fiber_failed = injector.group_cut_fibers(d.step);
-    scenario.probability = 1.0;
+    const te::FailureScenario scenario(injector.group_cut_fibers(d.step),
+                                       1.0);
     const auto losses = te::flow_losses(problem, decision->policy, scenario);
     ++report.group_cuts_evaluated;
     for (double loss : losses) {

@@ -99,18 +99,6 @@ SrlgMap srlg_from_groups(int num_fibers,
   return map;
 }
 
-std::vector<bool> expand_group_failures(const SrlgMap& map,
-                                        const std::vector<bool>& group_failed) {
-  if (group_failed.size() != static_cast<std::size_t>(map.num_groups)) {
-    throw std::invalid_argument("group failure vector size mismatch");
-  }
-  std::vector<bool> fiber_failed(map.group_of.size(), false);
-  for (std::size_t f = 0; f < map.group_of.size(); ++f) {
-    fiber_failed[f] = group_failed[static_cast<std::size_t>(map.group_of[f])];
-  }
-  return fiber_failed;
-}
-
 std::vector<double> group_probabilities(const SrlgMap& map,
                                         const std::vector<double>& fiber_probs) {
   if (fiber_probs.size() != map.group_of.size()) {

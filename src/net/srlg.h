@@ -40,11 +40,6 @@ SrlgMap sample_srlg(const Network& network, double share_prob, util::Rng& rng);
 SrlgMap srlg_from_groups(int num_fibers,
                          const std::vector<std::vector<FiberId>>& groups);
 
-// Expands a group-level failure vector into the fiber-level vector the TE
-// layer consumes.
-std::vector<bool> expand_group_failures(const SrlgMap& map,
-                                        const std::vector<bool>& group_failed);
-
 // Collapses per-fiber probabilities to group probabilities:
 // p(group) = 1 - prod(1 - p(fiber in group)) — the group fails if any of
 // its co-routed fibers' risk materializes (they share the backhoe).

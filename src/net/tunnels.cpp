@@ -27,9 +27,11 @@ bool TunnelSet::uses_fiber(const Network& net, TunnelId t, FiberId f) const {
 }
 
 bool TunnelSet::alive(const Network& net, TunnelId t,
-                      const std::vector<bool>& fiber_failed) const {
+                      const std::vector<FiberId>& failed) const {
   for (LinkId e : tunnel(t).path) {
-    if (fiber_failed[static_cast<std::size_t>(net.link(e).fiber)]) return false;
+    if (std::binary_search(failed.begin(), failed.end(), net.link(e).fiber)) {
+      return false;
+    }
   }
   return true;
 }

@@ -50,10 +50,10 @@ class TunnelSet {
   bool uses_link(const Network& net, TunnelId t, LinkId e) const;
   bool uses_fiber(const Network& net, TunnelId t, FiberId f) const;
 
-  // A tunnel is alive under a fiber-failure set if none of its links ride a
-  // failed fiber.
+  // A tunnel is alive under a fiber-failure set (ascending fiber ids) if
+  // none of its links ride a failed fiber.
   bool alive(const Network& net, TunnelId t,
-             const std::vector<bool>& fiber_failed) const;
+             const std::vector<FiberId>& failed) const;
 
   // Drops all dynamic tunnels (used when a degradation clears, §4.2: "the
   // tunnel is then updated to its original state"). Keeps the path rankings.

@@ -100,13 +100,16 @@ int FaultInjector::group_cut_at(std::int64_t step) const {
       stream.next_below(cuttable_groups_.size()))];
 }
 
-std::vector<bool> FaultInjector::group_cut_fibers(std::int64_t step) const {
-  std::vector<bool> group_failed(
-      static_cast<std::size_t>(group_cuts_.srlg.num_groups), false);
+std::vector<net::FiberId> FaultInjector::group_cut_fibers(
+    std::int64_t step) const {
   const int group = group_cut_at(step);
-  if (group >= 0) group_failed[static_cast<std::size_t>(group)] = true;
-  if (group_cuts_.srlg.num_groups == 0) return {};
-  return net::expand_group_failures(group_cuts_.srlg, group_failed);
+  if (group < 0) return {};
+  // A sorted copy: srlg_from_groups keeps the caller's member order, and
+  // group_probabilities multiplies in that order.
+  std::vector<net::FiberId> fibers =
+      group_cuts_.srlg.members[static_cast<std::size_t>(group)];
+  std::sort(fibers.begin(), fibers.end());
+  return fibers;
 }
 
 void FaultInjector::corrupt_trace(std::int64_t step,

@@ -123,10 +123,9 @@ class FaultInjector {
   // (plans, step), like fault_at.
   int group_cut_at(std::int64_t step) const;
 
-  // Fiber-level expansion of group_cut_at: the failed-fiber vector for the
-  // step's group cut, or an all-false vector when no cut fires. Empty when
-  // no group-cut plan is configured.
-  std::vector<bool> group_cut_fibers(std::int64_t step) const;
+  // Fiber-level expansion of group_cut_at: the step's cut group's member
+  // fibers in ascending order, or an empty list when no cut fires.
+  std::vector<net::FiberId> group_cut_fibers(std::int64_t step) const;
 
   // Deterministically corrupts a telemetry trace in place, choosing among
   // four corruption modes (NaN run, +inf spike, stuck-at flatline, negative

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "runtime/parallel.h"
 #include "util/deadline.h"
@@ -90,9 +91,11 @@ MonteCarloStudy::Epoch MonteCarloStudy::sample_epoch(util::Rng& rng) const {
 double MonteCarloStudy::epoch_availability(const te::TeProblem& problem,
                                            const te::TePolicy& policy,
                                            const Epoch& epoch) const {
-  te::FailureScenario scenario;
-  scenario.fiber_failed = epoch.failed;
-  scenario.probability = 1.0;
+  std::vector<net::FiberId> failed;
+  for (std::size_t f = 0; f < epoch.failed.size(); ++f) {
+    if (epoch.failed[f]) failed.push_back(static_cast<net::FiberId>(f));
+  }
+  const te::FailureScenario scenario(std::move(failed), 1.0);
   const auto losses = te::flow_losses(problem, policy, scenario);
   int ok = 0;
   for (double loss : losses) {

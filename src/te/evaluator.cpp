@@ -18,7 +18,7 @@ std::vector<double> flow_losses(const TeProblem& problem,
   std::vector<double> load(static_cast<std::size_t>(net.num_links()), 0.0);
   std::vector<bool> alive(static_cast<std::size_t>(tunnels.num_tunnels()), false);
   for (const net::Tunnel& t : tunnels.tunnels()) {
-    const bool is_alive = tunnels.alive(net, t.id, scenario.fiber_failed);
+    const bool is_alive = tunnels.alive(net, t.id, scenario.failed());
     alive[static_cast<std::size_t>(t.id)] = is_alive;
     if (!is_alive) continue;
     const double a = policy.tunnel_allocation(t.id);
@@ -98,7 +98,7 @@ std::vector<bool> affected_flows(const TeProblem& problem,
   std::vector<bool> affected(problem.flows->size(), false);
   for (const net::Tunnel& t : tunnels.tunnels()) {
     if (policy && policy->tunnel_allocation(t.id) <= 1e-9) continue;
-    if (!tunnels.alive(net, t.id, scenario.fiber_failed)) {
+    if (!tunnels.alive(net, t.id, scenario.failed())) {
       affected[static_cast<std::size_t>(t.flow)] = true;
     }
   }
@@ -129,7 +129,7 @@ AvailabilityResult evaluate_availability(const TeProblem& problem,
             flow_losses(problem, policy, scenario);
         std::vector<bool> outage(losses.size(), false);
         if (options.reaction != FailureReaction::kRateAdaptation &&
-            scenario.any_failure()) {
+            !scenario.failed().empty()) {
           // Reactive convergence / optical restoration outage hits every
           // affected flow regardless of the eventual allocation.
           outage = affected_flows(problem, scenario, &policy);

@@ -1,5 +1,7 @@
 #include "te/lp_common.h"
 
+#include <stdexcept>
+
 namespace prete::te {
 
 std::vector<int> add_allocation_variables(lp::Model& model,
@@ -62,18 +64,14 @@ SurvivalIndex::SurvivalIndex(const TeProblem& problem,
     tunnels_.insert(tunnels_.end(), all.begin(), all.end());
     whole[f].end = static_cast<std::uint32_t>(tunnels_.size());
   }
-  // The tunnels riding each fiber, and the fibers some tunnel rides: only
-  // those can kill a tunnel, so each pattern reads only their bits.
+  // The tunnels riding each fiber: a pattern kills exactly the riders of
+  // its failed fibers.
   std::vector<std::vector<net::TunnelId>> riders(
       static_cast<std::size_t>(net.num_fibers()));
   for (const net::Tunnel& t : tunnels.tunnels()) {
     for (net::LinkId e : t.path) {
       riders[static_cast<std::size_t>(net.link(e).fiber)].push_back(t.id);
     }
-  }
-  std::vector<std::size_t> ridden;
-  for (std::size_t i = 0; i < riders.size(); ++i) {
-    if (!riders[i].empty()) ridden.push_back(i);
   }
   // killed_in[t] == q: tunnel t rides a fiber failed in pattern q.
   // cut_in[f] == q: pattern q kills some tunnel of flow f.
@@ -83,11 +81,14 @@ SurvivalIndex::SurvivalIndex(const TeProblem& problem,
   std::vector<std::size_t> cut;
   entries_.resize(patterns.size() * num_flows_);
   for (std::size_t q = 0; q < patterns.size(); ++q) {
-    const std::vector<bool>& failed = patterns[q].fiber_failed;
     cut.clear();
-    for (std::size_t i : ridden) {
-      if (!failed[i]) continue;
-      for (net::TunnelId t : riders[i]) {
+    for (net::FiberId i : patterns[q].failed()) {
+      // The ids index `riders` directly, and a pluggable ScenarioSource can
+      // hand in any list.
+      if (i >= net.num_fibers()) {
+        throw std::invalid_argument("SurvivalIndex: failed fiber out of range");
+      }
+      for (net::TunnelId t : riders[static_cast<std::size_t>(i)]) {
         killed_in[static_cast<std::size_t>(t)] = q;
         const auto f = static_cast<std::size_t>(tunnels.tunnel(t).flow);
         if (cut_in[f] != q) {

@@ -41,12 +41,13 @@ inline double demand_floor(const TeProblem& problem, net::FlowId f) {
 // pattern q, in tunnels_for_flow order, so rows built from it keep their
 // coefficient order. An empty entry is a fatal pair: no allocation reaches
 // the flow. Built once per solve by inversion — each pattern marks the
-// tunnels on its failed fibers — and read-only afterwards, so pool workers
-// share it during pricing.
+// tunnels riding its failed fibers — and read-only afterwards, so pool
+// workers share it during pricing.
 class SurvivalIndex {
  public:
   // `patterns`: a ScenarioSet's scenarios, or FFC's failure sets. Only
-  // their fiber_failed masks are read.
+  // their failed() lists are read. Throws std::invalid_argument on a fiber
+  // id the problem's network does not have.
   SurvivalIndex(const TeProblem& problem,
                 const std::vector<FailureScenario>& patterns);
 

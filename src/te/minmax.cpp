@@ -211,7 +211,6 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
                        const std::vector<std::vector<char>>& delta,
                        double phi_star, double beta,
                        const lp::SimplexOptions& simplex_options,
-                       const std::vector<std::uint64_t>& pattern_sig,
                        const std::map<std::uint64_t, std::size_t>& sig_to_q,
                        BasisCache* cache, int* pivots) {
   const auto& flows = *problem.flows;
@@ -314,7 +313,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     cache->refine_rows.clear();
     for (const Key& key : result.keys) {
       cache->refine_rows.push_back(
-          {key.guarantee, key.flow, pattern_sig[key.q]});
+          {key.guarantee, key.flow, Q[key.q].signature()});
     }
   }
   return extract_policy(problem, alloc, result.optimal);
@@ -414,13 +413,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // demands (see CutBank for why the scaled cut stays valid). Probability
   // changes need nothing: v(delta) does not depend on them. The basis
   // cache's row recipes use the same pattern keys.
-  std::vector<std::uint64_t> pattern_sig;
   std::map<std::uint64_t, std::size_t> sig_to_q;
   if (cache != nullptr || cut_bank != nullptr) {
-    pattern_sig.resize(Q.size());
     for (std::size_t q = 0; q < Q.size(); ++q) {
-      pattern_sig[q] = scenario_signature(Q[q]);
-      sig_to_q.emplace(pattern_sig[q], q);  // first occurrence wins on a dup
+      sig_to_q.emplace(Q[q].signature(), q);  // first occurrence wins on a dup
     }
   }
   if (cut_bank != nullptr) {
@@ -736,7 +732,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     cache->benders = carry;
     cache->benders_rows.clear();
     for (const auto& [flow, q] : carry_keys) {
-      cache->benders_rows.push_back({flow, pattern_sig[q]});
+      cache->benders_rows.push_back({flow, Q[q].signature()});
     }
   }
   // ---- Cut-bank writeback: refresh, insert, evict. ----
@@ -763,7 +759,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       stored.constant = c.constant;
       stored.terms.reserve(c.weights.size());
       for (const auto& [key, w] : c.weights) {
-        stored.terms.push_back({key.first, pattern_sig[key.second], w});
+        stored.terms.push_back({key.first, Q[key.second].signature(), w});
       }
       std::sort(stored.terms.begin(), stored.terms.end());
       stored.demands = problem.demands;
@@ -833,8 +829,8 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   if (deadline == nullptr || !deadline->expired()) {
     TePolicy refined =
         refine_policy(problem, scenarios, survival, best_delta, guarantee,
-                      options.beta, simplex_options, pattern_sig, sig_to_q,
-                      cache, &result.simplex_pivots);
+                      options.beta, simplex_options, sig_to_q, cache,
+                      &result.simplex_pivots);
     if (!refined.allocation.empty()) {
       result.policy = std::move(refined);
     }

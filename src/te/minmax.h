@@ -138,7 +138,7 @@ struct MinMaxResult {
 // and, when a basis was offered but the replay or the installation rejected
 // it, also as `rejected`.
 struct BasisCache {
-  // (flow, scenario_signature) of one replayed Phi-row.
+  // (flow, FailureScenario::signature()) of one replayed Phi-row.
   using Key = std::pair<int, std::uint64_t>;
 
   std::uint64_t signature = 0;
@@ -154,7 +154,7 @@ struct BasisCache {
   struct RefineRow {
     bool guarantee = false;  // false: CVaR row (appends a shortfall variable)
     int flow = 0;
-    std::uint64_t pattern = 0;  // scenario_signature of the failed-fiber set
+    std::uint64_t pattern = 0;  // FailureScenario::signature()
   };
   lp::SimplexBasis refine;
   std::vector<RefineRow> refine_rows;
@@ -167,7 +167,7 @@ struct BasisCache {
 // Cross-epoch bank of Benders optimality cuts, owned by the caller next to
 // its BasisCache (te::PreTeScheme keeps one per problem shape). Cuts are
 // stored with their weights re-keyed from scenario *indices* to scenario
-// *pattern signatures* (scenario_signature), so they survive
+// *pattern signatures* (FailureScenario::signature()), so they survive
 // reduce_scenarios reordering and probability drift between epochs — the
 // subproblem value function v(delta) depends only on the problem shape,
 // demands, capacities, and each scenario's failed-fiber set, never on the
@@ -199,7 +199,7 @@ struct CutBank {
 
   struct Term {
     int flow = 0;
-    std::uint64_t pattern = 0;  // scenario_signature of the failed-fiber set
+    std::uint64_t pattern = 0;  // FailureScenario::signature()
     double weight = 0.0;
 
     auto operator<=>(const Term&) const = default;  // (flow, pattern, weight)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <queue>
 #include <stdexcept>
@@ -10,26 +11,17 @@
 
 namespace prete::te {
 
-bool FailureScenario::any_failure() const {
-  return std::any_of(fiber_failed.begin(), fiber_failed.end(),
-                     [](bool b) { return b; });
-}
-
-int FailureScenario::failure_count() const {
-  return static_cast<int>(
-      std::count(fiber_failed.begin(), fiber_failed.end(), true));
-}
-
-std::uint64_t scenario_signature(const FailureScenario& scenario) {
-  // FNV-1a over the failed fiber ids in increasing order (vector<bool>
-  // iteration is index order, so the set is already canonical). The fiber
-  // count and probability stay out: the signature identifies the failure
-  // pattern itself, which is all the Benders subproblem sees.
-  std::uint64_t h = kSignatureSeed;
-  for (std::size_t f = 0; f < scenario.fiber_failed.size(); ++f) {
-    if (scenario.fiber_failed[f]) h = util::fnv1a_u64(h, f);
+FailureScenario::FailureScenario(std::vector<net::FiberId> failed,
+                                 double probability)
+    : probability(probability), failed_(std::move(failed)) {
+  for (std::size_t i = 0; i < failed_.size(); ++i) {
+    if (failed_[i] < 0 || (i > 0 && failed_[i] <= failed_[i - 1])) {
+      throw std::invalid_argument(
+          "failure scenario: fiber ids must be ascending, unique and >= 0");
+    }
+    signature_ =
+        util::fnv1a_u64(signature_, static_cast<std::uint64_t>(failed_[i]));
   }
-  return h;
 }
 
 namespace {
@@ -73,7 +65,7 @@ void sort_candidates(std::vector<Candidate>& candidates) {
 // never-enumerated mass (1 - enumerated_total) must complement the covered
 // mass exactly (up to float summation error).
 ScenarioSet truncate_candidates(const std::vector<Candidate>& candidates,
-                                int num_fibers, double enumerated_total,
+                                double enumerated_total,
                                 int max_scenarios, double target_mass) {
   ScenarioSet set;
   double dropped_mass = 0.0;
@@ -85,11 +77,7 @@ ScenarioSet truncate_candidates(const std::vector<Candidate>& candidates,
       dropped_mass += c.probability;
       continue;
     }
-    FailureScenario s;
-    s.fiber_failed.assign(static_cast<std::size_t>(num_fibers), false);
-    for (int f : c.failed) s.fiber_failed[static_cast<std::size_t>(f)] = true;
-    s.probability = c.probability;
-    set.scenarios.push_back(std::move(s));
+    set.scenarios.emplace_back(c.failed, c.probability);
     set.covered_probability += c.probability;
     if (set.covered_probability >= target_mass) capped = true;
   }
@@ -142,7 +130,7 @@ ScenarioSet generate_failure_scenarios(const std::vector<double>& cut_probs,
     if (c.probability > 0.0) enumerated_total += c.probability;
   }
   sort_candidates(candidates);
-  return truncate_candidates(candidates, n, enumerated_total,
+  return truncate_candidates(candidates, enumerated_total,
                              options.max_scenarios, options.target_mass);
 }
 
@@ -368,7 +356,7 @@ ScenarioSet generate_correlated_scenarios(
     candidates.push_back({failed, probability});
   }
   sort_candidates(candidates);
-  return truncate_candidates(candidates, n, enumerated_total,
+  return truncate_candidates(candidates, enumerated_total,
                              options.max_scenarios, options.target_mass);
 }
 
@@ -393,12 +381,18 @@ ScenarioSet reduce_scenarios(const ScenarioSet& set,
     rank[i] = i;
     const auto& s = set.scenarios[i];
     score[i] = s.probability *
-               std::pow(1.0 + static_cast<double>(s.failure_count()),
+               std::pow(1.0 + static_cast<double>(s.failed().size()),
                         options.impact_exponent);
   }
   std::sort(rank.begin(), rank.end(), [&](std::size_t a, std::size_t b) {
     if (score[a] != score[b]) return score[a] > score[b];
-    return set.scenarios[a].fiber_failed < set.scenarios[b].fiber_failed;
+    // Ties keep the order of the failed sets as fiber masks: at the first
+    // position where the lists differ, the larger id sorts first, and a list
+    // that is a prefix of the other sorts first.
+    const auto& fa = set.scenarios[a].failed();
+    const auto& fb = set.scenarios[b].failed();
+    return std::lexicographical_compare(fa.begin(), fa.end(), fb.begin(),
+                                        fb.end(), std::greater<>());
   });
 
   ScenarioSet out;
@@ -411,7 +405,7 @@ ScenarioSet reduce_scenarios(const ScenarioSet& set,
     const FailureScenario& s = set.scenarios[rank[r]];
     // The no-failure scenario is always kept: it anchors most of the mass
     // and the optimizer's nominal (everything-up) row.
-    const bool keep = !s.any_failure() ||
+    const bool keep = s.failed().empty() ||
                       (!mass_reached && kept < options.max_scenarios);
     if (keep) {
       out.scenarios.push_back(s);

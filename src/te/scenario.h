@@ -9,31 +9,40 @@
 
 namespace prete::te {
 
-// One failure scenario q: the set of simultaneously failed fibers with its
-// product-form probability p_q (§4.3).
-struct FailureScenario {
-  std::vector<bool> fiber_failed;
-  double probability = 0.0;
-
-  bool any_failure() const;
-  int failure_count() const;
-};
-
-// Stable 64-bit signature of a scenario's failed-fiber *pattern* (FNV-1a
-// over the sorted failed fiber ids; probability is deliberately excluded).
-// Two scenarios with the same failed set hash identically no matter where
-// they sit in their ScenarioSet — reduce_scenarios reordering, probability
-// drift between epochs, and input permutation all leave the signature
-// unchanged, which is what lets te::CutBank re-key persisted Benders cuts
-// onto the next epoch's scenario indices.
-std::uint64_t scenario_signature(const FailureScenario& scenario);
-
-// Starting hash of the te signatures (scenario_signature,
+// Starting hash of the te signatures (FailureScenario::signature,
 // problem_shape_signature, cut_environment_signature). It is one digit
 // short of util::kFnvOffsetBasis. It stays: the cut bank sorts its terms by
 // pattern signature and breaks eviction ties on that order, so a new seed
 // could move decisions.
 inline constexpr std::uint64_t kSignatureSeed = 1469598103934665603ull;
+
+// One failure scenario q: the set of simultaneously failed fibers with its
+// product-form probability p_q (§4.3). The set is an ascending,
+// duplicate-free list of fiber ids, checked and signed once, where the
+// scenario is made; a default-constructed scenario fails nothing.
+struct FailureScenario {
+  FailureScenario() = default;
+  // Throws std::invalid_argument on a negative, repeated or descending id.
+  explicit FailureScenario(std::vector<net::FiberId> failed,
+                           double probability = 0.0);
+
+  const std::vector<net::FiberId>& failed() const { return failed_; }
+
+  // Stable 64-bit signature of the failed-fiber *pattern*: FNV-1a from
+  // kSignatureSeed over the ascending ids; the probability stays out. Two
+  // scenarios with the same failed set sign identically no matter where
+  // they sit in their ScenarioSet — reduce_scenarios reordering,
+  // probability drift between epochs, and input permutation all leave it
+  // unchanged, which is what lets te::CutBank and te::BasisCache re-key
+  // their rows onto the next epoch's scenario indices.
+  std::uint64_t signature() const { return signature_; }
+
+  double probability = 0.0;
+
+ private:
+  std::vector<net::FiberId> failed_;
+  std::uint64_t signature_ = kSignatureSeed;
+};
 
 struct ScenarioSet {
   std::vector<FailureScenario> scenarios;
@@ -117,7 +126,7 @@ ScenarioSet generate_correlated_scenarios(
 // --- Scenario reduction -----------------------------------------------------
 
 // Importance-ranked scenario reduction: rank scenarios by
-// probability * (1 + failure_count)^impact_exponent and keep the top ones
+// probability * (1 + |failed|)^impact_exponent and keep the top ones
 // until `max_scenarios` or `target_mass` is hit. impact_exponent = 0 is pure
 // probability-mass ranking; > 0 biases toward multi-fiber scenarios, whose
 // losses dominate the Benders max even at lower probability. The no-failure

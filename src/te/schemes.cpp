@@ -64,18 +64,11 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
   // Structural failure sets of cardinality <= k, as failure patterns (their
   // probabilities are unused).
   std::vector<FailureScenario> failure_sets;
-  FailureScenario set{
-      std::vector<bool>(static_cast<std::size_t>(net.num_fibers()), false)};
-  std::vector<bool>& failed = set.fiber_failed;
   for (net::FiberId i = 0; i < net.num_fibers(); ++i) {
-    failed[static_cast<std::size_t>(i)] = true;
-    if (k_ >= 1) failure_sets.push_back(set);
+    if (k_ >= 1) failure_sets.emplace_back(std::vector<net::FiberId>{i});
     for (net::FiberId j = i + 1; k_ >= 2 && j < net.num_fibers(); ++j) {
-      failed[static_cast<std::size_t>(j)] = true;
-      failure_sets.push_back(set);
-      failed[static_cast<std::size_t>(j)] = false;
+      failure_sets.emplace_back(std::vector<net::FiberId>{i, j});
     }
-    failed[static_cast<std::size_t>(i)] = false;
   }
 
   // One lazy row per (flow, failure set): b_f <= surviving allocation.
@@ -185,10 +178,7 @@ TePolicy ArrowScheme::compute(const TeProblem& problem,
   // itself is charged by the evaluator via reaction().
   ScenarioSet healthy;
   if (!scenarios.scenarios.empty()) {
-    FailureScenario base = scenarios.scenarios.front();
-    std::fill(base.fiber_failed.begin(), base.fiber_failed.end(), false);
-    base.probability = 1.0;
-    healthy.scenarios.push_back(std::move(base));
+    healthy.scenarios.emplace_back(std::vector<net::FiberId>{}, 1.0);
     healthy.covered_probability = 1.0;
   }
   return solve_cvar(problem, healthy, beta_);

@@ -73,9 +73,7 @@ TEST(ControllerTest, DegradationCreatesTunnelsAndPolicy) {
   problem.flows = &fx.topo.flows;
   problem.tunnels = &controller.tunnels();
   problem.demands = {5.0, 5.0};
-  te::FailureScenario cut;
-  cut.fiber_failed = {true, false, false};
-  cut.probability = 1.0;
+  const te::FailureScenario cut({0}, 1.0);
   const auto losses = te::flow_losses(problem, decision.policy, cut);
   EXPECT_LT(losses[0], 1e-5);
   EXPECT_LT(losses[1], 1e-5);
@@ -375,7 +373,7 @@ TEST(ControllerTest, UntrustedWindowStillTriggersReaction) {
   // The reaction used the static probability, not the 45% predictor.
   bool found = false;
   for (const auto& s : decision->believed_scenarios.scenarios) {
-    if (s.fiber_failed[0]) found = true;
+    if (!s.failed().empty() && s.failed().front() == 0) found = true;
   }
   EXPECT_TRUE(found);
 }

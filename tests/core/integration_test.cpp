@@ -96,11 +96,7 @@ TEST_F(IntegrationTest, ControllerReactsToRealTelemetry) {
   problem.flows = &topo_.flows;
   problem.tunnels = &controller.tunnels();
   problem.demands = demands_;
-  te::FailureScenario cut;
-  cut.fiber_failed.assign(static_cast<std::size_t>(topo_.network.num_fibers()),
-                          false);
-  cut.fiber_failed[static_cast<std::size_t>(event->fiber)] = true;
-  cut.probability = 1.0;
+  const te::FailureScenario cut({event->fiber}, 1.0);
   const auto losses = te::flow_losses(problem, decision->policy, cut);
   for (std::size_t f = 0; f < losses.size(); ++f) {
     EXPECT_LT(losses[f], 0.05) << "flow " << f << " loses after the cut";

@@ -52,9 +52,7 @@ TEST_P(ExtraTopologyProperty, TunnelsSurviveSingleCuts) {
   const TunnelSet tunnels = build_tunnels(topo.network, topo.flows);
   EXPECT_EQ(tunnels.num_tunnels(), 4 * static_cast<int>(topo.flows.size()));
   for (FiberId f = 0; f < topo.network.num_fibers(); ++f) {
-    std::vector<bool> failed(static_cast<std::size_t>(topo.network.num_fibers()),
-                             false);
-    failed[static_cast<std::size_t>(f)] = true;
+    const std::vector<FiberId> failed{f};
     for (const Flow& flow : topo.flows) {
       bool alive = false;
       for (TunnelId t : tunnels.tunnels_for_flow(flow.id)) {

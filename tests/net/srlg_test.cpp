@@ -53,26 +53,6 @@ TEST(SrlgTest, MembersPartitionTheFibers) {
   for (int count : seen) EXPECT_EQ(count, 1);
 }
 
-TEST(SrlgTest, ExpandGroupFailures) {
-  const Topology topo = make_b4();
-  util::Rng rng(4);
-  const SrlgMap map = sample_srlg(topo.network, 0.3, rng);
-  std::vector<bool> group_failed(static_cast<std::size_t>(map.num_groups), false);
-  group_failed[0] = true;
-  const auto fiber_failed = expand_group_failures(map, group_failed);
-  for (FiberId f = 0; f < topo.network.num_fibers(); ++f) {
-    EXPECT_EQ(fiber_failed[static_cast<std::size_t>(f)],
-              map.group_of[static_cast<std::size_t>(f)] == 0);
-  }
-}
-
-TEST(SrlgTest, ExpandRejectsWrongSize) {
-  const Topology topo = make_b4();
-  const SrlgMap map = identity_srlg(topo.network);
-  EXPECT_THROW(expand_group_failures(map, std::vector<bool>(3, false)),
-               std::invalid_argument);
-}
-
 TEST(SrlgTest, GroupProbabilitiesCombineIndependently) {
   const Topology topo = make_triangle();
   util::Rng rng(5);
@@ -87,27 +67,6 @@ TEST(SrlgTest, GroupProbabilitiesCombineIndependently) {
   EXPECT_DOUBLE_EQ(same[0], 0.1);
   EXPECT_DOUBLE_EQ(same[2], 0.3);
 }
-
-TEST(SrlgTest, GroupedFailuresAreMoreDisruptive) {
-  // A failure scenario at group level kills every co-routed fiber: the set
-  // of dead fibers under any group failure is a superset of the singleton
-  // interpretation.
-  const Topology topo = make_b4();
-  util::Rng rng(6);
-  const SrlgMap map = sample_srlg(topo.network, 0.4, rng);
-  for (int g = 0; g < map.num_groups; ++g) {
-    std::vector<bool> group_failed(static_cast<std::size_t>(map.num_groups),
-                                   false);
-    group_failed[static_cast<std::size_t>(g)] = true;
-    const auto fibers = expand_group_failures(map, group_failed);
-    int dead = 0;
-    for (bool b : fibers) dead += b ? 1 : 0;
-    EXPECT_EQ(dead,
-              static_cast<int>(map.members[static_cast<std::size_t>(g)].size()));
-    EXPECT_GE(dead, 1);
-  }
-}
-
 
 TEST(SrlgTest, FromGroupsAssignsListedThenSingletons) {
   const SrlgMap map = srlg_from_groups(6, {{1, 2}, {4, 5}});

@@ -28,10 +28,10 @@ TEST(TunnelSetTest, AliveTracksFiberFailures) {
   const Topology topo = make_triangle();
   TunnelSet ts(2);
   const TunnelId direct = ts.add_tunnel(0, {0});  // s1->s2 on fiber 0
-  std::vector<bool> failed(3, false);
-  EXPECT_TRUE(ts.alive(topo.network, direct, failed));
-  failed[0] = true;
-  EXPECT_FALSE(ts.alive(topo.network, direct, failed));
+  EXPECT_TRUE(ts.alive(topo.network, direct, {}));
+  EXPECT_TRUE(ts.alive(topo.network, direct, {1, 2}));
+  EXPECT_FALSE(ts.alive(topo.network, direct, {0}));
+  EXPECT_FALSE(ts.alive(topo.network, direct, {0, 2}));
 }
 
 TEST(TunnelSetTest, ClearDynamicKeepsStaticAndReindexes) {
@@ -91,8 +91,7 @@ TEST(BuildTunnelsTest, SingleFiberCutLeavesResidualTunnel) {
   const Topology topo = make_b4();
   const TunnelSet ts = build_tunnels(topo.network, topo.flows);
   for (FiberId f = 0; f < topo.network.num_fibers(); ++f) {
-    std::vector<bool> failed(static_cast<std::size_t>(topo.network.num_fibers()), false);
-    failed[static_cast<std::size_t>(f)] = true;
+    const std::vector<FiberId> failed{f};
     for (const Flow& flow : topo.flows) {
       bool any_alive = false;
       for (TunnelId t : ts.tunnels_for_flow(flow.id)) {

@@ -248,10 +248,18 @@ TEST(GroupCutTest, ForcedEntriesWinOverSampling) {
   EXPECT_EQ(inj.group_cut_at(3), 1);
   EXPECT_EQ(inj.group_cut_at(7), 0);
   EXPECT_EQ(inj.group_cut_at(4), -1);
-  const auto fibers = inj.group_cut_fibers(3);
-  EXPECT_EQ(fibers, (std::vector<bool>{false, false, true, true, true}));
-  const auto none = inj.group_cut_fibers(4);
-  EXPECT_EQ(none, std::vector<bool>(5, false));
+  EXPECT_EQ(inj.group_cut_fibers(3), (std::vector<net::FiberId>{2, 3, 4}));
+  EXPECT_EQ(inj.group_cut_fibers(4), std::vector<net::FiberId>{});
+
+  // The list comes out sorted; the map keeps its members' input order.
+  GroupCutPlan unsorted;
+  unsorted.srlg = net::srlg_from_groups(5, {{4, 2, 3}});
+  unsorted.forced.push_back({0, 0});
+  const FaultInjector shuffled(plan, unsorted);
+  EXPECT_EQ(shuffled.group_cut_fibers(0),
+            (std::vector<net::FiberId>{2, 3, 4}));
+  EXPECT_EQ(shuffled.group_cuts().srlg.members[0],
+            (std::vector<net::FiberId>{4, 2, 3}));
 }
 
 TEST(GroupCutTest, SampledCutsAreDeterministicAndOrderIndependent) {

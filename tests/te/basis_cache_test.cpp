@@ -36,7 +36,7 @@ struct Fixture {
 std::vector<std::uint64_t> signatures(const ScenarioSet& set) {
   std::vector<std::uint64_t> out;
   for (const FailureScenario& s : set.scenarios) {
-    out.push_back(scenario_signature(s));
+    out.push_back(s.signature());
   }
   return out;
 }

@@ -73,28 +73,21 @@ double subproblem_value(const TeProblem& problem, const ScenarioSet& set,
 std::map<std::uint64_t, std::size_t> pattern_index(const ScenarioSet& set) {
   std::map<std::uint64_t, std::size_t> sig_to_q;
   for (std::size_t q = 0; q < set.scenarios.size(); ++q) {
-    sig_to_q.emplace(scenario_signature(set.scenarios[q]), q);
+    sig_to_q.emplace(set.scenarios[q].signature(), q);
   }
   return sig_to_q;
 }
 
 TEST(ScenarioSignatureTest, IdentifiesThePatternNotTheScenario) {
-  FailureScenario a;
-  a.fiber_failed = {true, false, true, false};
-  a.probability = 0.25;
-  FailureScenario b;
-  b.fiber_failed = {true, false, true, false};
-  b.probability = 0.0001;  // probability must not matter
-  EXPECT_EQ(scenario_signature(a), scenario_signature(b));
+  const FailureScenario a({0, 2}, 0.25);
+  const FailureScenario b({0, 2}, 0.0001);  // probability must not matter
+  EXPECT_EQ(a.signature(), b.signature());
 
-  FailureScenario c;
-  c.fiber_failed = {true, true, false, false};
-  c.probability = 0.25;
-  EXPECT_NE(scenario_signature(a), scenario_signature(c));
+  const FailureScenario c({0, 1}, 0.25);
+  EXPECT_NE(a.signature(), c.signature());
 
-  FailureScenario none;
-  none.fiber_failed = {false, false, false, false};
-  EXPECT_NE(scenario_signature(a), scenario_signature(none));
+  const FailureScenario none;
+  EXPECT_NE(a.signature(), none.signature());
 }
 
 TEST(CutBankTest, SteadyStateWarmSolveCutsIterationsWithIdenticalPhi) {
@@ -265,7 +258,7 @@ TEST(CutBankTest, InactivityAndSizeBoundEvictDeterministically) {
   // scenario set that lacks every stored pattern leaves each stored cut
   // nothing to replay, twice (ttl = 2).
   ScenarioSet unrelated;
-  unrelated.scenarios.push_back({{true, true, true}, 1.0});
+  unrelated.scenarios.emplace_back(std::vector<net::FiberId>{0, 1, 2}, 1.0);
   unrelated.covered_probability = 1.0;
   solve_min_max_benders(fx.problem, unrelated, options, nullptr, &bank);
   solve_min_max_benders(fx.problem, unrelated, options, nullptr, &bank);

@@ -27,19 +27,10 @@ struct TriangleFixture {
   }
 };
 
-FailureScenario no_failure() {
-  FailureScenario s;
-  s.fiber_failed = {false, false, false};
-  s.probability = 0.9;
-  return s;
-}
+FailureScenario no_failure() { return FailureScenario({}, 0.9); }
 
 FailureScenario fail_fiber(int f, double p = 0.05) {
-  FailureScenario s;
-  s.fiber_failed = {false, false, false};
-  s.fiber_failed[static_cast<std::size_t>(f)] = true;
-  s.probability = p;
-  return s;
+  return FailureScenario({f}, p);
 }
 
 TEST(EvaluatorTest, NoLossWhenAllocationsCoverDemand) {

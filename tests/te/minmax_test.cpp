@@ -59,10 +59,7 @@ TEST(MinMaxDirectTest, Beta99IgnoresRareScenarios) {
 TEST(MinMaxDirectTest, InfeasibleBetaThrows) {
   TriangleCase fx;
   ScenarioSet set;
-  FailureScenario s;
-  s.fiber_failed = {false, false, false};
-  s.probability = 0.9;
-  set.scenarios.push_back(s);
+  set.scenarios.emplace_back(std::vector<net::FiberId>{}, 0.9);
   set.covered_probability = 0.9;
   MinMaxOptions options;
   options.beta = 0.99;

@@ -64,7 +64,7 @@ TEST(PreTeTest, DegradationTriggersTunnelsAndHighProbability) {
   // fiber-0-fails scenario must be prominent.
   bool found = false;
   for (const auto& scenario : outcome.scenarios.scenarios) {
-    if (scenario.failure_count() == 1 && scenario.fiber_failed[0]) {
+    if (scenario.failed() == std::vector<net::FiberId>{0}) {
       found = true;
       EXPECT_GT(scenario.probability, 0.4);
     }
@@ -98,9 +98,7 @@ TEST(PreTeTest, PolicySurvivesThePredictedCut) {
   problem.flows = &topo.flows;
   problem.tunnels = &tunnels;
   problem.demands = {5.0, 5.0};
-  FailureScenario cut;
-  cut.fiber_failed = {true, false, false};
-  cut.probability = 1.0;
+  const FailureScenario cut({0}, 1.0);
   const auto losses = flow_losses(problem, outcome.policy, cut);
   // Figure 7(b): "our approach still supports 10 units" for both flows.
   EXPECT_LT(losses[0], 1e-5);
@@ -198,7 +196,7 @@ bool same_set(const ScenarioSet& a, const ScenarioSet& b) {
     return false;
   }
   for (std::size_t q = 0; q < a.scenarios.size(); ++q) {
-    if (a.scenarios[q].fiber_failed != b.scenarios[q].fiber_failed ||
+    if (a.scenarios[q].failed() != b.scenarios[q].failed() ||
         a.scenarios[q].probability != b.scenarios[q].probability) {
       return false;
     }

@@ -1,18 +1,26 @@
 // Correlated scenario generation and probability-mass scenario reduction:
 // truncation accounting (no silent drops), closed-form correlated
-// probabilities, permutation/thread invariance, and validation guards.
+// probabilities, permutation/thread invariance, and validation guards; the
+// continental and B4 scenario sets pinned by digest, and the failed-id
+// lists checked against the fiber masks they replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 
 #include "net/topology.h"
 #include "net/tunnels.h"
+#include "optical/fiber_model.h"
 #include "runtime/thread_pool.h"
 #include "te/minmax.h"
 #include "te/scenario.h"
+#include "util/hash.h"
+#include "util/rng.h"
+#include "workload/continental.h"
 
 namespace prete::te {
 namespace {
@@ -44,8 +52,8 @@ TEST(CorrelatedScenarioTest, NoEventsMatchesIndependentGenerator) {
   const ScenarioSet independent = generate_failure_scenarios(probs);
   ASSERT_EQ(correlated.scenarios.size(), independent.scenarios.size());
   for (std::size_t i = 0; i < correlated.scenarios.size(); ++i) {
-    EXPECT_EQ(correlated.scenarios[i].fiber_failed,
-              independent.scenarios[i].fiber_failed);
+    EXPECT_EQ(correlated.scenarios[i].failed(),
+              independent.scenarios[i].failed());
     EXPECT_NEAR(correlated.scenarios[i].probability,
                 independent.scenarios[i].probability, 1e-12);
   }
@@ -65,7 +73,10 @@ TEST(CorrelatedScenarioTest, EventProbabilitiesMatchClosedForm) {
 
   auto probability_of = [&](bool f0, bool f1) {
     for (const FailureScenario& s : set.scenarios) {
-      if (s.fiber_failed[0] == f0 && s.fiber_failed[1] == f1) {
+      std::vector<net::FiberId> want;
+      if (f0) want.push_back(0);
+      if (f1) want.push_back(1);
+      if (s.failed() == want) {
         return s.probability;
       }
     }
@@ -150,7 +161,7 @@ TEST(ReductionTest, KeepsHighestMassAndReportsDrops) {
   EXPECT_GE(min_kept,
             full.scenarios.back().probability);
   // The no-failure scenario survives.
-  EXPECT_FALSE(reduced.scenarios[0].any_failure());
+  EXPECT_TRUE(reduced.scenarios[0].failed().empty());
 }
 
 TEST(ReductionTest, ImpactExponentPrefersMultiFailureScenarios) {
@@ -161,10 +172,10 @@ TEST(ReductionTest, ImpactExponentPrefersMultiFailureScenarios) {
   biased.impact_exponent = 8.0;
   int plain_failures = 0, biased_failures = 0;
   for (const FailureScenario& s : reduce_scenarios(full, plain).scenarios) {
-    plain_failures += s.failure_count();
+    plain_failures += static_cast<int>(s.failed().size());
   }
   for (const FailureScenario& s : reduce_scenarios(full, biased).scenarios) {
-    biased_failures += s.failure_count();
+    biased_failures += static_cast<int>(s.failed().size());
   }
   EXPECT_GT(biased_failures, plain_failures);
 }
@@ -183,8 +194,7 @@ TEST(ReductionTest, InvariantUnderInputPermutation) {
   ASSERT_EQ(baseline.scenarios.size(), permuted.scenarios.size());
   EXPECT_EQ(baseline.covered_probability, permuted.covered_probability);
   for (std::size_t i = 0; i < baseline.scenarios.size(); ++i) {
-    EXPECT_EQ(baseline.scenarios[i].fiber_failed,
-              permuted.scenarios[i].fiber_failed);
+    EXPECT_EQ(baseline.scenarios[i].failed(), permuted.scenarios[i].failed());
     EXPECT_EQ(baseline.scenarios[i].probability,
               permuted.scenarios[i].probability);
   }
@@ -228,6 +238,100 @@ TEST(ReductionTest, BendersOnReducedSetIsThreadInvariant) {
   runtime::ThreadPool::set_global_threads(0);
   EXPECT_EQ(serial.first, parallel.first);
   EXPECT_EQ(serial.second, parallel.second);
+}
+
+// Folds each scenario's signature, probability bits and failed ids, in set
+// order: a change to the scenario pipeline's contents or order moves it.
+std::uint64_t pipeline_digest(const ScenarioSet& set) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const FailureScenario& s : set.scenarios) {
+    h = util::fnv1a_u64(h, s.signature());
+    h = util::fnv1a_u64(h, std::bit_cast<std::uint64_t>(s.probability));
+    for (net::FiberId f : s.failed()) {
+      h = util::fnv1a_u64(h, static_cast<std::uint64_t>(f));
+    }
+  }
+  return h;
+}
+
+// The digests were recorded from the fiber-mask scenario representation.
+TEST(ScenarioPipelineTest, ContinentalAndB4SetsKeepTheirDigest) {
+  // The continental_diurnal plant: seed 2026, reduced to 300 scenarios.
+  const workload::ContinentalConfig config;
+  const workload::ContinentalWorkload w =
+      workload::generate_continental_workload(config);
+  ReductionOptions reduction = config.reduction;
+  reduction.max_scenarios = 300;
+  const ScenarioSet continental = workload::make_scenario_source(
+      w.failure_model, config.scenario_gen, reduction)(w.cut_probs);
+  ASSERT_EQ(continental.scenarios.size(), 300u);
+  EXPECT_EQ(pipeline_digest(continental), 5268899741753620468ull);
+
+  // The b4_degradation plant's static probabilities.
+  const net::Topology b4 = net::make_b4();
+  util::Rng plant_rng(11);
+  std::vector<double> static_probs;
+  for (const optical::FiberModelParams& p :
+       optical::build_plant_model(b4.network, plant_rng)) {
+    static_probs.push_back(0.4 * p.degradation_prob_per_epoch +
+                           p.abrupt_cut_prob_per_epoch);
+  }
+  const ScenarioSet b4_set = generate_failure_scenarios(static_probs);
+  ASSERT_EQ(b4_set.scenarios.size(), 191u);
+  EXPECT_EQ(pipeline_digest(b4_set), 7715458093893773910ull);
+}
+
+// The fiber-mask reference: FNV-1a over the set bits in index order.
+std::uint64_t mask_signature(const std::vector<bool>& mask) {
+  std::uint64_t h = kSignatureSeed;
+  for (std::size_t f = 0; f < mask.size(); ++f) {
+    if (mask[f]) h = util::fnv1a_u64(h, f);
+  }
+  return h;
+}
+
+FailureScenario from_mask(const std::vector<bool>& mask, double probability) {
+  std::vector<net::FiberId> failed;
+  for (std::size_t f = 0; f < mask.size(); ++f) {
+    if (mask[f]) failed.push_back(static_cast<net::FiberId>(f));
+  }
+  return FailureScenario(std::move(failed), probability);
+}
+
+// Random masks of 1..1,200 fibers: the signature equals the mask fold, and
+// reduce_scenarios breaks probability ties in std::vector<bool> order.
+TEST(ScenarioPipelineTest, IdListsMatchTheMaskReference) {
+  util::Rng rng(26);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.next_below(1200);
+    // Some trials draw from a narrow id range, so masks share prefixes and
+    // one set often extends another.
+    const std::size_t span = trial % 2 == 0 ? n : std::min<std::size_t>(n, 6);
+    std::vector<std::vector<bool>> masks;
+    ScenarioSet set;
+    for (int i = 0; i < 12; ++i) {
+      std::vector<bool> mask(n, false);
+      const std::uint64_t cuts = rng.next_below(5);
+      for (std::uint64_t c = 0; c < cuts; ++c) {
+        mask[rng.next_below(span)] = true;
+      }
+      const FailureScenario s = from_mask(mask, 1.0 / 12);
+      EXPECT_EQ(s.signature(), mask_signature(mask)) << "trial " << trial;
+      if (std::find(masks.begin(), masks.end(), mask) != masks.end()) continue;
+      masks.push_back(mask);
+      set.scenarios.push_back(s);
+    }
+    // Equal probabilities: the order is the tie-break alone.
+    ReductionOptions keep_all;
+    keep_all.max_scenarios = static_cast<int>(masks.size());
+    const ScenarioSet reduced = reduce_scenarios(set, keep_all);
+    std::sort(masks.begin(), masks.end());
+    ASSERT_EQ(reduced.scenarios.size(), masks.size());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      EXPECT_EQ(reduced.scenarios[i].signature(), mask_signature(masks[i]))
+          << "trial " << trial << " rank " << i;
+    }
+  }
 }
 
 }  // namespace

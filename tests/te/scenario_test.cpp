@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -12,7 +14,7 @@ namespace {
 TEST(ScenarioTest, NoFailureScenarioFirst) {
   const ScenarioSet set = generate_failure_scenarios({0.01, 0.02, 0.005});
   ASSERT_FALSE(set.scenarios.empty());
-  EXPECT_FALSE(set.scenarios[0].any_failure());
+  EXPECT_TRUE(set.scenarios[0].failed().empty());
   EXPECT_NEAR(set.scenarios[0].probability, 0.99 * 0.98 * 0.995, 1e-12);
 }
 
@@ -23,9 +25,9 @@ TEST(ScenarioTest, SingleFailureProbabilities) {
   EXPECT_NEAR(set.covered_probability, 1.0, 1e-12);
   EXPECT_NEAR(set.scenarios[0].probability, 0.72, 1e-12);
   EXPECT_NEAR(set.scenarios[1].probability, 0.18, 1e-12);
-  EXPECT_TRUE(set.scenarios[1].fiber_failed[1]);
+  EXPECT_EQ(set.scenarios[1].failed(), std::vector<net::FiberId>{1});
   EXPECT_NEAR(set.scenarios[3].probability, 0.02, 1e-12);
-  EXPECT_EQ(set.scenarios[3].failure_count(), 2);
+  EXPECT_EQ(set.scenarios[3].failed(), (std::vector<net::FiberId>{0, 1}));
 }
 
 TEST(ScenarioTest, SortedByProbability) {
@@ -57,14 +59,16 @@ TEST(ScenarioTest, SinglesOnlyWhenRequested) {
   ScenarioOptions options;
   options.max_simultaneous_failures = 1;
   const ScenarioSet set = generate_failure_scenarios({0.3, 0.3}, options);
-  for (const auto& s : set.scenarios) EXPECT_LE(s.failure_count(), 1);
+  for (const auto& s : set.scenarios) EXPECT_LE(s.failed().size(), 1u);
   // Mass misses the double-failure scenario (0.09).
   EXPECT_NEAR(set.covered_probability, 0.91, 1e-12);
 }
 
 TEST(ScenarioTest, ZeroProbabilityFiberNeverFails) {
   const ScenarioSet set = generate_failure_scenarios({0.0, 0.5});
-  for (const auto& s : set.scenarios) EXPECT_FALSE(s.fiber_failed[0]);
+  for (const auto& s : set.scenarios) {
+    EXPECT_TRUE(s.failed().empty() || s.failed().front() != 0);
+  }
   EXPECT_NEAR(set.covered_probability, 1.0, 1e-12);
 }
 
@@ -74,8 +78,8 @@ TEST(ScenarioTest, CertainFailureHandled) {
   double mass = 0.0;
   for (const auto& s : set.scenarios) {
     mass += s.probability;
-    if (s.failure_count() == 1) {
-      EXPECT_TRUE(s.fiber_failed[0]);
+    if (s.failed().size() == 1) {
+      EXPECT_EQ(s.failed().front(), 0);
       EXPECT_NEAR(s.probability, 0.9, 1e-12);
     }
   }
@@ -85,6 +89,13 @@ TEST(ScenarioTest, CertainFailureHandled) {
 TEST(ScenarioTest, RejectsBadProbability) {
   EXPECT_THROW(generate_failure_scenarios({1.5}), std::invalid_argument);
   EXPECT_THROW(generate_failure_scenarios({-0.1}), std::invalid_argument);
+}
+
+TEST(ScenarioTest, RejectsMalformedFailedLists) {
+  EXPECT_THROW(FailureScenario({-1}), std::invalid_argument);
+  EXPECT_THROW(FailureScenario({2, 2}), std::invalid_argument);
+  EXPECT_THROW(FailureScenario({3, 1}), std::invalid_argument);
+  EXPECT_NO_THROW(FailureScenario({0, 1, 7}));
 }
 
 TEST(CalibratedProbabilitiesTest, Equation1) {

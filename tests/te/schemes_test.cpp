@@ -72,7 +72,7 @@ TEST(FfcTest, NoLossUnderAnySingleFailure) {
     const auto losses = flow_losses(fx.problem, policy, scenario);
     for (std::size_t f = 0; f < losses.size(); ++f) {
       EXPECT_LT(losses[f], 1e-5)
-          << "flow " << f << " scenario failures " << scenario.failure_count();
+          << "flow " << f << " scenario failures " << scenario.failed().size();
     }
   }
 }

@@ -66,10 +66,7 @@ TEST(SmoreTest, BeatsEcmpOnMaxUtilization) {
 TEST(SmoreTest, NoLossWithoutFailures) {
   Fixture fx(net::make_ibm());
   const TePolicy policy = SmoreScheme().compute(fx.problem, {});
-  FailureScenario none;
-  none.fiber_failed.assign(
-      static_cast<std::size_t>(fx.topo.network.num_fibers()), false);
-  none.probability = 1.0;
+  const FailureScenario none({}, 1.0);
   for (double loss : flow_losses(fx.problem, policy, none)) {
     EXPECT_LT(loss, 1e-6);
   }
@@ -82,11 +79,7 @@ TEST(SmoreTest, PathDiversityLimitsAggregateSingleCutLoss) {
   Fixture fx(net::make_b4());
   const TePolicy policy = SmoreScheme().compute(fx.problem, {});
   for (net::FiberId f = 0; f < fx.topo.network.num_fibers(); ++f) {
-    FailureScenario cut;
-    cut.fiber_failed.assign(
-        static_cast<std::size_t>(fx.topo.network.num_fibers()), false);
-    cut.fiber_failed[static_cast<std::size_t>(f)] = true;
-    cut.probability = 1.0;
+    const FailureScenario cut({f}, 1.0);
     const auto losses = flow_losses(fx.problem, policy, cut);
     double mean = 0.0;
     for (double loss : losses) mean += loss;

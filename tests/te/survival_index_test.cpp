@@ -3,8 +3,11 @@
 // tunnels_for_flow order, and an empty entry reads as fatal. Covered over
 // random topologies, tunnel sets grown by Algorithm 1, the independent and
 // SRLG scenario generators, FFC's failure sets, and concurrent readers.
+// Random patterns are also checked against a fiber-mask reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,9 +21,9 @@
 namespace prete::te {
 namespace {
 
-std::vector<net::TunnelId> alive_tunnels(const TeProblem& problem,
-                                         net::FlowId f,
-                                         const std::vector<bool>& failed) {
+std::vector<net::TunnelId> alive_tunnels(
+    const TeProblem& problem, net::FlowId f,
+    const std::vector<net::FiberId>& failed) {
   std::vector<net::TunnelId> out;
   for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
     if (problem.tunnels->alive(*problem.network, t, failed)) out.push_back(t);
@@ -28,16 +31,33 @@ std::vector<net::TunnelId> alive_tunnels(const TeProblem& problem,
   return out;
 }
 
+// The reference the id lists replaced: a tunnel survives a fiber mask when
+// no link of its path rides a fiber whose bit is set.
+std::vector<net::TunnelId> mask_alive_tunnels(const TeProblem& problem,
+                                              net::FlowId f,
+                                              const std::vector<bool>& mask) {
+  std::vector<net::TunnelId> out;
+  for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
+    bool alive = true;
+    for (net::LinkId e : problem.tunnels->tunnel(t).path) {
+      alive = alive && !mask[static_cast<std::size_t>(
+                           problem.network->link(e).fiber)];
+    }
+    if (alive) out.push_back(t);
+  }
+  return out;
+}
+
 // Every entry of `index` equals the alive filter of its pattern. Returns
 // the number of fatal pairs seen, so callers can check a case covers some.
 int expect_matches_alive(const TeProblem& problem, const SurvivalIndex& index,
-                         const std::vector<std::vector<bool>>& patterns,
+                         const std::vector<FailureScenario>& patterns,
                          const std::string& label) {
   int fatal = 0;
   for (std::size_t q = 0; q < patterns.size(); ++q) {
     for (net::FlowId f = 0; f < problem.tunnels->num_flows(); ++f) {
       const std::vector<net::TunnelId> want =
-          alive_tunnels(problem, f, patterns[q]);
+          alive_tunnels(problem, f, patterns[q].failed());
       const auto got = index.surviving(f, q);
       EXPECT_EQ(std::vector<net::TunnelId>(got.begin(), got.end()), want)
           << label << " flow " << f << " q " << q;
@@ -49,16 +69,10 @@ int expect_matches_alive(const TeProblem& problem, const SurvivalIndex& index,
   return fatal;
 }
 
-std::vector<std::vector<bool>> masks(const ScenarioSet& set) {
-  std::vector<std::vector<bool>> out;
-  for (const FailureScenario& s : set.scenarios) out.push_back(s.fiber_failed);
-  return out;
-}
-
 int expect_index_matches(const TeProblem& problem, const ScenarioSet& set,
                          const std::string& label) {
   return expect_matches_alive(problem, SurvivalIndex(problem, set.scenarios),
-                              masks(set), label);
+                              set.scenarios, label);
 }
 
 TeProblem problem_for(const net::Topology& topo,
@@ -77,19 +91,20 @@ std::vector<double> random_cut_probs(int fibers, util::Rng& rng) {
   return probs;
 }
 
-// Masks with 1..4 random fibers cut: deeper than the generators enumerate,
-// so tunnels die in bunches and fatal pairs appear.
-ScenarioSet random_masks(int fibers, int count, util::Rng& rng) {
+// Patterns with 1..4 random fibers cut: deeper than the generators
+// enumerate, so tunnels die in bunches and fatal pairs appear.
+ScenarioSet random_patterns(int fibers, int count, util::Rng& rng) {
   ScenarioSet set;
   for (int i = 0; i < count; ++i) {
-    FailureScenario s;
-    s.fiber_failed.assign(static_cast<std::size_t>(fibers), false);
+    std::vector<net::FiberId> failed;
     const std::uint64_t cuts = 1 + rng.next_below(4);
     for (std::uint64_t c = 0; c < cuts; ++c) {
-      s.fiber_failed[rng.next_below(static_cast<std::uint64_t>(fibers))] = true;
+      failed.push_back(static_cast<net::FiberId>(
+          rng.next_below(static_cast<std::uint64_t>(fibers))));
     }
-    s.probability = 1.0 / count;
-    set.scenarios.push_back(std::move(s));
+    std::sort(failed.begin(), failed.end());
+    failed.erase(std::unique(failed.begin(), failed.end()), failed.end());
+    set.scenarios.emplace_back(std::move(failed), 1.0 / count);
   }
   return set;
 }
@@ -106,9 +121,22 @@ TEST_P(SurvivalIndexProperty, RandomTopologyMatchesAlive) {
   expect_index_matches(
       problem, generate_failure_scenarios(random_cut_probs(fibers, rng)),
       "generated");
-  const int fatal =
-      expect_index_matches(problem, random_masks(fibers, 120, rng), "random");
-  EXPECT_GT(fatal, 0) << "random masks should cut some flow off";
+  const ScenarioSet random = random_patterns(fibers, 120, rng);
+  const int fatal = expect_index_matches(problem, random, "random");
+  EXPECT_GT(fatal, 0) << "random patterns should cut some flow off";
+  const SurvivalIndex index(problem, random.scenarios);
+  for (std::size_t q = 0; q < random.scenarios.size(); ++q) {
+    std::vector<bool> mask(static_cast<std::size_t>(fibers), false);
+    for (net::FiberId i : random.scenarios[q].failed()) {
+      mask[static_cast<std::size_t>(i)] = true;
+    }
+    for (net::FlowId f = 0; f < tunnels.num_flows(); ++f) {
+      const auto got = index.surviving(f, q);
+      EXPECT_EQ(std::vector<net::TunnelId>(got.begin(), got.end()),
+                mask_alive_tunnels(problem, f, mask))
+          << "mask reference flow " << f << " q " << q;
+    }
+  }
 }
 
 TEST_P(SurvivalIndexProperty, DegradationGrownTunnelsMatchAlive) {
@@ -130,7 +158,7 @@ TEST_P(SurvivalIndexProperty, DegradationGrownTunnelsMatchAlive) {
     expect_index_matches(
         problem, generate_failure_scenarios(random_cut_probs(fibers, rng)),
         label + " generated");
-    expect_index_matches(problem, random_masks(fibers, 60, rng),
+    expect_index_matches(problem, random_patterns(fibers, 60, rng),
                          label + " random");
   }
   EXPECT_GT(dynamic, 0) << "no degradation created a dynamic tunnel";
@@ -157,7 +185,7 @@ TEST_P(SurvivalIndexProperty, SrlgScenariosMatchAlive) {
   const ScenarioSet set = generate_correlated_scenarios(model);
   bool multi = false;
   for (const FailureScenario& s : set.scenarios) {
-    multi = multi || s.failure_count() >= 3;
+    multi = multi || s.failed().size() >= 3;
   }
   EXPECT_TRUE(multi) << "no scenario cut a whole conduit";
   expect_index_matches(problem, set, "srlg");
@@ -170,18 +198,12 @@ TEST(SurvivalIndexTest, FfcFailureSetsMatchAlive) {
   const net::Topology topo = net::make_b4();
   const net::TunnelSet tunnels = net::build_tunnels(topo.network, topo.flows);
   const TeProblem problem = problem_for(topo, tunnels);
-  const auto fibers = static_cast<std::size_t>(topo.network.num_fibers());
   ScenarioSet sets;
-  FailureScenario set{std::vector<bool>(fibers, false)};
-  for (std::size_t i = 0; i < fibers; ++i) {
-    set.fiber_failed[i] = true;
-    sets.scenarios.push_back(set);
-    for (std::size_t j = i + 1; j < fibers; ++j) {
-      set.fiber_failed[j] = true;
-      sets.scenarios.push_back(set);
-      set.fiber_failed[j] = false;
+  for (net::FiberId i = 0; i < topo.network.num_fibers(); ++i) {
+    sets.scenarios.emplace_back(std::vector<net::FiberId>{i});
+    for (net::FiberId j = i + 1; j < topo.network.num_fibers(); ++j) {
+      sets.scenarios.emplace_back(std::vector<net::FiberId>{i, j});
     }
-    set.fiber_failed[i] = false;
   }
   EXPECT_GT(expect_index_matches(problem, sets, "ffc"), 0)
       << "some pair cut should disconnect a B4 flow";
@@ -194,12 +216,10 @@ TEST(SurvivalIndexTest, FlowWithNoSurvivorReadsFatal) {
   tunnels.add_tunnel(1, {2});     // s1->s3 direct
   tunnels.add_tunnel(1, {0, 4});  // s1->s2->s3
   const TeProblem problem = problem_for(topo, tunnels);
-  const auto fibers = static_cast<std::size_t>(topo.network.num_fibers());
   ScenarioSet set;
-  set.scenarios.resize(2, FailureScenario{std::vector<bool>(fibers, false)});
-  set.scenarios[1]
-      .fiber_failed[static_cast<std::size_t>(topo.network.link(0).fiber)] =
-      true;
+  set.scenarios.emplace_back();
+  set.scenarios.emplace_back(
+      std::vector<net::FiberId>{topo.network.link(0).fiber});
   const SurvivalIndex index(problem, set.scenarios);
   EXPECT_FALSE(index.fatal(0, 0));
   EXPECT_TRUE(index.fatal(0, 1));
@@ -217,7 +237,8 @@ TEST(SurvivalIndexTest, ConcurrentReadersSeeTheSerialEntries) {
   const net::TunnelSet tunnels = net::build_tunnels(topo.network, topo.flows);
   const TeProblem problem = problem_for(topo, tunnels);
   util::Rng rng(3);
-  const ScenarioSet set = random_masks(topo.network.num_fibers(), 200, rng);
+  const ScenarioSet set =
+      random_patterns(topo.network.num_fibers(), 200, rng);
   const SurvivalIndex index(problem, set.scenarios);
   std::vector<char> ok(set.scenarios.size(), 0);
   runtime::parallel_for(set.scenarios.size(), [&](std::size_t q) {
@@ -226,11 +247,22 @@ TEST(SurvivalIndexTest, ConcurrentReadersSeeTheSerialEntries) {
       const auto got = index.surviving(f, q);
       match = match &&
               std::vector<net::TunnelId>(got.begin(), got.end()) ==
-                  alive_tunnels(problem, f, set.scenarios[q].fiber_failed);
+                  alive_tunnels(problem, f, set.scenarios[q].failed());
     }
     ok[q] = match ? 1 : 0;
   });
   for (std::size_t q = 0; q < ok.size(); ++q) EXPECT_EQ(ok[q], 1) << "q " << q;
+}
+
+TEST(SurvivalIndexTest, RejectsFiberOutOfRange) {
+  // A pluggable ScenarioSource is input from outside TE: an id the network
+  // does not have must not index past the per-fiber rider lists.
+  const net::Topology topo = net::make_triangle();
+  const net::TunnelSet tunnels = net::build_tunnels(topo.network, topo.flows);
+  const TeProblem problem = problem_for(topo, tunnels);
+  const std::vector<FailureScenario> patterns{
+      FailureScenario({topo.network.num_fibers()})};
+  EXPECT_THROW(SurvivalIndex(problem, patterns), std::invalid_argument);
 }
 
 }  // namespace

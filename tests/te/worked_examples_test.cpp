@@ -76,9 +76,7 @@ TEST(WorkedExample, Figure3OracleSupportsTwentyUnits) {
   EXPECT_NEAR(result.phi, 0.0, 1e-6);
 
   // And the allocation actually delivers 20 units in the no-failure case.
-  FailureScenario none;
-  none.fiber_failed = {false, false, false};
-  none.probability = 1.0;
+  const FailureScenario none({}, 1.0);
   const auto losses = flow_losses(ex.problem, result.policy, none);
   EXPECT_LT(losses[0], 1e-6);
   EXPECT_LT(losses[1], 1e-6);
@@ -94,9 +92,7 @@ TEST(WorkedExample, Figure3OracleKeepsTenUnitsWhenS1S2Fails) {
   MinMaxOptions options;
   options.beta = 0.98;
   const auto result = solve_min_max_direct(ex.problem, set, options);
-  FailureScenario cut;
-  cut.fiber_failed = {true, false, false};
-  cut.probability = 1.0;
+  const FailureScenario cut({0}, 1.0);
   const auto losses = flow_losses(ex.problem, result.policy, cut);
   // Flow s1s3 keeps its 10 units via the direct link (Figure 3c).
   EXPECT_LT(losses[1], 1e-6);
@@ -119,9 +115,7 @@ TEST(WorkedExample, Figure7DegradationPreparationKeepsThroughput) {
   const auto outcome = prete.compute_for_degradation(
       ex.topo.network, ex.topo.flows, tunnels, ex.problem.demands, s);
 
-  FailureScenario cut;
-  cut.fiber_failed = {true, false, false};
-  cut.probability = 1.0;
+  const FailureScenario cut({0}, 1.0);
   const auto losses = flow_losses(ex.problem, outcome.policy, cut);
   EXPECT_LT(losses[0], 1e-5);  // flow s1s2 rerouted onto s1s3s2
   EXPECT_LT(losses[1], 1e-5);

@@ -138,8 +138,7 @@ TEST(ContinentalTest, ScenarioSourceMatchesDirectPipeline) {
   for (std::size_t i = 0; i < direct.scenarios.size(); ++i) {
     EXPECT_EQ(via_source.scenarios[i].probability,
               direct.scenarios[i].probability);
-    EXPECT_EQ(via_source.scenarios[i].fiber_failed,
-              direct.scenarios[i].fiber_failed);
+    EXPECT_EQ(via_source.scenarios[i].failed(), direct.scenarios[i].failed());
   }
 }
 
