@@ -114,7 +114,7 @@ lp::Model build_subproblem_lp(const te::TeProblem& problem,
   const auto& Q = scenarios.scenarios;
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = te::add_allocation_variables(model, problem);
-  const int phi = model.add_variable(0.0, 1.0, 1.0, "Phi");
+  const int phi = model.add_variable(0.0, 1.0, 1.0);
   te::add_capacity_rows(model, problem, alloc);
   const std::size_t slice = std::min(Q.size(), static_cast<std::size_t>(4 + e));
   for (const net::Flow& flow : *problem.flows) {

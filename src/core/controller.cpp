@@ -106,8 +106,7 @@ te::TePolicy Controller::static_floor(const net::TrafficMatrix& demands) const {
 
 ControlDecision Controller::run_pipeline(
     const te::DegradationScenario& scenario, const net::TrafficMatrix& demands,
-    bool include_detection, const te::PreTeScheme::Prepared* prepared,
-    util::Deadline* external) {
+    const te::PreTeScheme::Prepared* prepared, util::Deadline* external) {
   // With an external deadline the configured budgets are armed on it and
   // it is threaded through the solve even when unlimited — that is what
   // lets another thread's request_cancel() reach the pivot loop. An
@@ -147,7 +146,7 @@ ControlDecision Controller::run_pipeline(
       --armed_solver_faults_;
       throw std::runtime_error("injected solver exception");
     }
-    const auto outcome =
+    auto outcome =
         prepared != nullptr
             ? scheme_.compute_with_prepared(topology_.network, topology_.flows,
                                             tunnels_, demands, *prepared,
@@ -155,7 +154,7 @@ ControlDecision Controller::run_pipeline(
             : scheme_.compute_for_degradation(topology_.network,
                                               topology_.flows, tunnels_,
                                               demands, scenario, budget);
-    decision.believed_scenarios = outcome.scenarios;
+    decision.believed_scenarios = std::move(outcome.scenarios);
     decision.new_tunnels =
         static_cast<int>(outcome.tunnel_update.created.size());
     decision.solver_pivots = outcome.solver_result.simplex_pivots;
@@ -164,22 +163,22 @@ ControlDecision Controller::run_pipeline(
     decision.cuts_invalidated = outcome.solver_result.cuts_invalidated;
     decision.cuts_banked = outcome.solver_result.cuts_banked;
     decision.deadline_exceeded = outcome.solver_result.deadline_exceeded;
-    const PolicyCheck check =
-        validate_policy(current_problem(demands), outcome.policy);
-    bool usable = check.valid && !outcome.policy.allocation.empty();
+    te::TePolicy& policy = outcome.solver_result.policy;
+    const PolicyCheck check = validate_policy(current_problem(demands), policy);
+    bool usable = check.valid && !policy.allocation.empty();
     if (usable && outcome.solver_result.deadline_exceeded) {
       // A starved solve can hand back the trivial all-zero incumbent (it is
       // primal-feasible and validator-clean, but it drops every flow). The
       // lower rungs are strictly better than that, so an expired-deadline
       // incumbent must carry actual allocation to count as usable.
       double total_alloc = 0.0;
-      for (double a : outcome.policy.allocation) total_alloc += a;
+      for (double a : policy.allocation) total_alloc += a;
       double total_demand = 0.0;
       for (double d : demands) total_demand += std::max(d, 0.0);
       if (total_alloc <= 0.0 && total_demand > 0.0) usable = false;
     }
     if (usable) {
-      decision.policy = outcome.policy;
+      decision.policy = std::move(policy);
       decision.phi = outcome.solver_result.phi;
       decision.gap = outcome.solver_result.gap();
       decision.fallback_level = outcome.solver_result.deadline_exceeded
@@ -222,19 +221,12 @@ ControlDecision Controller::run_pipeline(
                  static_cast<std::size_t>(num_static_tunnels_)));
     last_good_ = std::move(trimmed);
   }
-
-  sim::LatencyModel latency = config_.latency;
-  if (!include_detection) latency.detection_ms = 0.0;
-  decision.pipeline = sim::pipeline_trace(
-      latency, decision.new_tunnels,
-      static_cast<int>(decision.believed_scenarios.scenarios.size()));
   return decision;
 }
 
 ControlDecision Controller::on_te_period(const net::TrafficMatrix& demands) {
   return run_pipeline(
-      te::DegradationScenario::none(topology_.network.num_fibers()), demands,
-      /*include_detection=*/false);
+      te::DegradationScenario::none(topology_.network.num_fibers()), demands);
 }
 
 PreparedEpoch Controller::prepare_telemetry(
@@ -312,7 +304,7 @@ ControlDecision Controller::decide_prepared(const PreparedEpoch& prepared,
     throw std::invalid_argument("decide_prepared needs a prepared signal");
   }
   last_telemetry_quality_ = prepared.quality;
-  return run_pipeline(prepared.scenario, demands, /*include_detection=*/true,
+  return run_pipeline(prepared.scenario, demands,
                       prepared.prepared.has_value() ? &*prepared.prepared
                                                     : nullptr,
                       external);
@@ -342,8 +334,7 @@ te::DegradationScenario Controller::scenario_for_features(
 ControlDecision Controller::on_degradation(
     const optical::DegradationFeatures& features,
     const net::TrafficMatrix& demands) {
-  return run_pipeline(scenario_for_features(features), demands,
-                      /*include_detection=*/true);
+  return run_pipeline(scenario_for_features(features), demands);
 }
 
 void Controller::on_degradation_cleared() { tunnels_.clear_dynamic(); }

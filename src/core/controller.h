@@ -10,17 +10,15 @@
 #include "net/traffic.h"
 #include "optical/detector.h"
 #include "optical/sanitize.h"
-#include "sim/latency.h"
 #include "te/availability.h"
 #include "te/prete.h"
 #include "util/deadline.h"
 
 namespace prete::core {
 
-// Configuration of a PreTE deployment.
+// Configuration of a PreTE deployment: the TE scheme and the solve budget.
 struct ControllerConfig {
   te::PreTeConfig te;
-  sim::LatencyModel latency;
   // Per-decision solve budget (see util::Deadline): maximum simplex pivots
   // and wall-clock milliseconds the TE solve may spend before the controller
   // degrades to a fallback policy. 0 disables the respective limit; both 0
@@ -41,13 +39,13 @@ enum class FallbackLevel {
   kStaticFloor = 3,  // capacity-safe equal split (no solver involved)
 };
 
-// The outcome of one control decision: the policy to install, the pipeline
-// timing that producing it would take on the testbed, and bookkeeping about
-// the tunnels created.
+// The outcome of one control decision: the policy to install, the scenario
+// set it was solved against, and bookkeeping about the tunnels created and
+// the solve. Latency is measured by the caller around the call;
+// sim::pipeline_trace models the testbed's stages for Fig 11.
 struct ControlDecision {
   te::TePolicy policy;
   te::ScenarioSet believed_scenarios;
-  sim::PipelineTrace pipeline;
   int new_tunnels = 0;
   double phi = 0.0;  // guaranteed beta-quantile loss (1.0 on fallback rungs)
   // Simplex pivots spent producing this decision — drops on epochs that
@@ -219,7 +217,6 @@ class Controller {
  private:
   ControlDecision run_pipeline(const te::DegradationScenario& scenario,
                                const net::TrafficMatrix& demands,
-                               bool include_detection,
                                const te::PreTeScheme::Prepared* prepared =
                                    nullptr,
                                util::Deadline* external = nullptr);

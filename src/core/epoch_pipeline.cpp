@@ -63,7 +63,6 @@ EpochPipeline::EpochPipeline(Controller& controller,
       pool_(pool),
       group_(pool) {
   config_.max_in_flight = std::max(1, config_.max_in_flight);
-  config_.max_ingest_attempts = std::max(1, config_.max_ingest_attempts);
 }
 
 EpochPipeline::~EpochPipeline() {
@@ -184,10 +183,9 @@ void EpochPipeline::run_prepare(std::size_t epoch) {
     // verdict is never worth a refetch (the poison would come back).
     const bool retryable = fetch_ &&
                            result.retry_hint == optical::RetryHint::kTransient &&
-                           attempt + 1 < config_.max_ingest_attempts;
+                           attempt + 1 < kMaxIngestAttempts;
     if (retryable) {
       ++local_retries;
-      sleep_ms(config_.retry_backoff_ms * static_cast<double>(1 << attempt));
       refetched = fetch_(epoch, attempt + 1);
       continue;
     }

@@ -71,6 +71,17 @@ struct EpochPipelineStats {
   std::size_t max_in_flight_seen = 0;
 };
 
+// Ingest retry: a failing window gets at most this many sanitization
+// attempts. Retries happen only when a fetch_window callback is installed
+// and the failure is transient (optical::RetryHint::kTransient); a window
+// still failing after the last attempt — or failing structurally on the
+// first — is quarantined. With no callback the pipeline falls through to
+// the serial on_telemetry semantics instead (untrusted-but-degraded windows
+// still decide on the static probability). Retries do not back off.
+inline constexpr int kMaxIngestAttempts = 2;
+
+// Knobs of one EpochPipeline: admission depth, supersede cancellation and
+// the stage watchdog.
 struct EpochPipelineConfig {
   // Bounded admission: submit() blocks once this many epochs are in flight
   // (submitted but not yet committed). Must be >= 1. Depth 1 degenerates to
@@ -83,18 +94,6 @@ struct EpochPipelineConfig {
   // wall-clock-timing-dependent, so this must stay false in any run whose
   // decision digest is asserted.
   bool cancel_superseded = false;
-  // Ingest retry: how many total sanitization attempts a failing window
-  // gets. Retries happen only when a fetch_window callback is installed and
-  // the failure is transient (optical::RetryHint::kTransient); a window
-  // still failing after the last attempt — or failing structurally on the
-  // first — is quarantined. With no callback the pipeline falls through to
-  // the serial on_telemetry semantics instead (untrusted-but-degraded
-  // windows still decide on the static probability).
-  int max_ingest_attempts = 2;
-  // Exponential backoff between ingest retries: attempt k sleeps
-  // retry_backoff_ms * 2^(k-1). Wall-clock behavior — keep 0 (no sleep) in
-  // deterministic runs; retries themselves stay deterministic either way.
-  double retry_backoff_ms = 0.0;
   // Per-stage watchdog: a prepare stage whose wall time exceeds this budget
   // counts a watchdog trip and is treated as a transient ingest fault
   // (retried under the same rules as a failed sanitization). 0 disables —

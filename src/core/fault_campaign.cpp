@@ -24,6 +24,11 @@ namespace {
 
 using sim::FaultKind;
 
+// Samples in each synthetic telemetry window (1 Hz).
+constexpr std::size_t kWindowSamples = 120;
+// Admission depth of the epoch pipeline on the pipelined drive.
+constexpr int kPipelineMaxInFlight = 4;
+
 // One telemetry delivery the campaign will make. A kWindowDuplicate step
 // contributes two deliveries (the primary plus its retransmit); every other
 // step contributes one. Precomputing the full delivery sequence before any
@@ -114,7 +119,7 @@ std::uint64_t fold_decision(std::uint64_t hash, int step,
 // features. Derived entirely from the step's split stream.
 std::vector<double> make_window(const FaultCampaignConfig& config,
                                 util::Rng stream, bool degraded) {
-  std::vector<double> trace(static_cast<std::size_t>(config.window_samples));
+  std::vector<double> trace(kWindowSamples);
   const double pulse_db = 4.0 + 2.0 * stream.next_double();
   const std::size_t onset = trace.size() / 6;
   const std::size_t recovery = trace.size() - trace.size() / 6;
@@ -394,7 +399,7 @@ FaultCampaignReport run_campaign_slice(const net::Topology& topology,
   // submission order), so concurrent preparation never races a mode flag.
   predictor->set_schedule(&deliveries);
   EpochPipelineConfig pipe_config;
-  pipe_config.max_in_flight = std::max(1, config.pipeline_max_in_flight);
+  pipe_config.max_in_flight = kPipelineMaxInFlight;
   pipe_config.cancel_superseded = config.pipeline_cancel_superseded;
   if (config.stall_ms > 0.0) {
     pipe_config.stage_watchdog_ms = config.stall_ms / 2.0;

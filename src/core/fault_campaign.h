@@ -23,9 +23,8 @@ struct FaultCampaignConfig {
   // Probabilistic fault mix for the steps after the forced prologue. The
   // defaults sum to 0.85, so a 256-step campaign injects ~218 faults.
   sim::FaultRates rates{0.35, 0.15, 0.15, 0.10, 0.10};
-  // Synthetic telemetry shape.
+  // Synthetic telemetry baseline (every window holds 120 samples).
   double healthy_loss_db = 2.0;
-  int window_samples = 120;
   te::PreTeConfig te;
   // Wall-clock budget mode: when either value is positive, solver-budget
   // faults arm wall-clock deadlines (milliseconds) instead of pivot
@@ -62,7 +61,6 @@ struct FaultCampaignConfig {
   // decision sequence, and therefore the digest, is identical either way —
   // that equality is the pipelined-vs-serial determinism witness.
   bool through_pipeline = false;
-  int pipeline_max_in_flight = 4;
   // Supersede-cancellation inside the pipeline. Timing-dependent: only
   // meaningful in wall-clock/soak campaigns, never in digest-asserting runs.
   bool pipeline_cancel_superseded = false;

@@ -13,6 +13,11 @@ namespace prete::lp {
 
 namespace {
 
+// A relaxation value within this distance of integral counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+// Relative optimality gap at which a node is pruned against the incumbent.
+constexpr double kGapTol = 1e-6;
+
 struct Node {
   // Extra bounds imposed by branching: (var, lower, upper).
   std::vector<std::tuple<int, double, double>> bounds;
@@ -63,10 +68,9 @@ NodeResult evaluate_node(const Model& base, const SimplexSolver& simplex,
   return result;
 }
 
-int most_fractional(const Model& model, const std::vector<double>& x,
-                    double tol) {
+int most_fractional(const Model& model, const std::vector<double>& x) {
   int best = -1;
-  double best_frac = tol;
+  double best_frac = kIntegralityTol;
   for (int j = 0; j < model.num_variables(); ++j) {
     if (!model.variable(j).is_integer) continue;
     const double v = x[static_cast<std::size_t>(j)];
@@ -121,8 +125,8 @@ Solution BranchAndBound::solve(const Model& model) const {
       Node node = open.top();
       open.pop();
       ++nodes;
-      if (node.relaxation_bound >= incumbent_value - options_.gap_tol *
-                                        (1.0 + std::abs(incumbent_value))) {
+      if (node.relaxation_bound >=
+          incumbent_value - kGapTol * (1.0 + std::abs(incumbent_value))) {
         continue;  // cannot improve
       }
       wave_nodes.push_back(std::move(node));
@@ -169,13 +173,12 @@ Solution BranchAndBound::solve(const Model& model) const {
       }
       if (relax.status != SolveStatus::kOptimal) continue;
       const double relax_value = sense_sign * relax.objective;
-      if (relax_value >= incumbent_value - options_.gap_tol *
-                             (1.0 + std::abs(incumbent_value))) {
+      if (relax_value >=
+          incumbent_value - kGapTol * (1.0 + std::abs(incumbent_value))) {
         continue;
       }
 
-      const int branch_var =
-          most_fractional(model, relax.x, options_.integrality_tol);
+      const int branch_var = most_fractional(model, relax.x);
       if (branch_var < 0) {
         // Integral: new incumbent.
         incumbent = relax;

@@ -5,11 +5,10 @@
 
 namespace prete::lp {
 
+// The integrality and relative-gap tolerances are fixed at 1e-6 inside the
+// search (see branch_and_bound.cpp).
 struct BranchAndBoundOptions {
   SimplexOptions simplex;
-  double integrality_tol = 1e-6;
-  // Relative optimality gap at which the search stops.
-  double gap_tol = 1e-6;
   int max_nodes = 20000;
   // Nodes popped (best-first) and relaxed per wave. Waves are evaluated in
   // parallel on the runtime pool, then merged in fixed slot order, and the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace prete::lp {
 
@@ -19,22 +20,20 @@ const char* to_string(SolveStatus status) {
   return "unknown";
 }
 
-int Model::add_variable(double lower, double upper, double objective,
-                        std::string name) {
+int Model::add_variable(double lower, double upper, double objective) {
   if (lower > upper) throw std::invalid_argument("variable bounds crossed");
-  variables_.push_back({lower, upper, objective, false, std::move(name)});
+  variables_.push_back({lower, upper, objective, false});
   return num_variables() - 1;
 }
 
-int Model::add_binary(double objective, std::string name) {
-  variables_.push_back({0.0, 1.0, objective, true, std::move(name)});
+int Model::add_binary(double objective) {
+  variables_.push_back({0.0, 1.0, objective, true});
   return num_variables() - 1;
 }
 
-int Model::add_integer(double lower, double upper, double objective,
-                       std::string name) {
+int Model::add_integer(double lower, double upper, double objective) {
   if (lower > upper) throw std::invalid_argument("variable bounds crossed");
-  variables_.push_back({lower, upper, objective, true, std::move(name)});
+  variables_.push_back({lower, upper, objective, true});
   return num_variables() - 1;
 }
 
@@ -49,8 +48,8 @@ int Model::add_row(Row row) {
 }
 
 int Model::add_row(std::vector<Coefficient> coefficients, RowType type,
-                   double rhs, std::string name) {
-  return add_row(Row{std::move(coefficients), type, rhs, std::move(name)});
+                   double rhs) {
+  return add_row(Row{std::move(coefficients), type, rhs});
 }
 
 void Model::set_objective(int var, double coefficient) {

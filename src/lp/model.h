@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace prete::lp {
@@ -24,7 +23,6 @@ struct Row {
   std::vector<Coefficient> coefficients;
   RowType type = RowType::kLessEqual;
   double rhs = 0.0;
-  std::string name;
 };
 
 // Decision variable with simple bounds.
@@ -33,7 +31,6 @@ struct Variable {
   double upper = kInfinity;
   double objective = 0.0;
   bool is_integer = false;
-  std::string name;
 };
 
 // Sparse linear (or mixed-integer) program builder. The model is the shared
@@ -43,15 +40,12 @@ class Model {
  public:
   explicit Model(Sense sense = Sense::kMinimize) : sense_(sense) {}
 
-  int add_variable(double lower, double upper, double objective,
-                   std::string name = {});
-  int add_binary(double objective, std::string name = {});
-  int add_integer(double lower, double upper, double objective,
-                  std::string name = {});
+  int add_variable(double lower, double upper, double objective);
+  int add_binary(double objective);
+  int add_integer(double lower, double upper, double objective);
 
   int add_row(Row row);
-  int add_row(std::vector<Coefficient> coefficients, RowType type, double rhs,
-              std::string name = {});
+  int add_row(std::vector<Coefficient> coefficients, RowType type, double rhs);
 
   void set_objective(int var, double coefficient);
   void set_bounds(int var, double lower, double upper);

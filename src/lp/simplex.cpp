@@ -58,6 +58,11 @@ SimplexBasis SimplexBasis::truncated(int rows, int structurals) const {
 
 namespace {
 
+// Primal feasibility tolerance on bound and constraint violation.
+constexpr double kFeasibilityTol = 1e-7;
+// Dual feasibility (reduced-cost) tolerance.
+constexpr double kOptimalityTol = 1e-7;
+
 enum class VarStatus { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 
 // Internal equality-form problem: columns = structural vars, slacks, and
@@ -149,7 +154,7 @@ class SimplexEngine {
       solution.iterations = total_iters;
       return solution;
     }
-    if (current_objective(phase1_cost) > 1e3 * options_.feasibility_tol) {
+    if (current_objective(phase1_cost) > 1e3 * kFeasibilityTol) {
       solution.status = SolveStatus::kInfeasible;
       solution.iterations = total_iters;
       return solution;
@@ -511,7 +516,7 @@ class SimplexEngine {
 
     bool ok = refactorize();  // also recomputes the basic values exactly
     if (ok) {
-      const double tol = 1e3 * options_.feasibility_tol;
+      const double tol = 1e3 * kFeasibilityTol;
       for (int r = 0; r < m && ok; ++r) {
         const int b = ws_.basis[static_cast<std::size_t>(r)];
         const double v = ws_.basic_value[static_cast<std::size_t>(r)];
@@ -624,11 +629,11 @@ class SimplexEngine {
     if (st == VarStatus::kBasic || locked(j)) return 0.0;
     const double d = d_[static_cast<std::size_t>(j)];
     if ((st == VarStatus::kAtLower || st == VarStatus::kFreeAtZero) &&
-        d < -options_.optimality_tol) {
+        d < -kOptimalityTol) {
       return 1.0;
     }
     if ((st == VarStatus::kAtUpper || st == VarStatus::kFreeAtZero) &&
-        d > options_.optimality_tol) {
+        d > kOptimalityTol) {
       return -1.0;
     }
     return 0.0;
@@ -643,7 +648,7 @@ class SimplexEngine {
     if (score <= 0.0) return MeritTree::kIneligible;
     const double value =
         devex ? score * score / devex_weight[static_cast<std::size_t>(j)] : score;
-    const double floor = devex ? 0.0 : options_.optimality_tol;
+    const double floor = devex ? 0.0 : kOptimalityTol;
     return value > floor ? value : MeritTree::kIneligible;
   }
 
@@ -747,10 +752,8 @@ class SimplexEngine {
   SolveStatus optimize(const std::vector<double>& cost, bool phase1,
                        int& total_iters) {
     const int m = ws_.m;
-    const int max_iters =
-        options_.max_iterations > 0
-            ? options_.max_iterations
-            : 2000 + 40 * (ws_.total + m);
+    // Pivot cap of one phase, from the problem size.
+    const int max_iters = 2000 + 40 * (ws_.total + m);
     std::vector<double> w(static_cast<std::size_t>(m), 0.0);
     std::vector<double> y;
     int degenerate_streak = 0;

@@ -8,13 +8,10 @@
 
 namespace prete::lp {
 
+// Knobs of one simplex solve. The feasibility and optimality tolerances
+// (1e-7) and the per-phase pivot cap (2000 + 40 * (columns + rows)) are
+// fixed inside the solver.
 struct SimplexOptions {
-  // Primal feasibility tolerance on bound/constraint violation.
-  double feasibility_tol = 1e-7;
-  // Dual feasibility (reduced-cost) tolerance.
-  double optimality_tol = 1e-7;
-  // 0 means "choose automatically from problem size".
-  int max_iterations = 0;
   // Rebuild the basis inverse from scratch every this many pivots to bound
   // numerical drift of the product-form updates. The kernel also reinverts
   // early when an appended eta column's magnitude spread signals drift (see

@@ -255,10 +255,10 @@ MonteCarloResult MonteCarloStudy::run_prete(const net::TrafficMatrix& demands,
           break;
       }
     }
-    const auto outcome = prete.compute_for_degradation(
+    auto outcome = prete.compute_for_degradation(
         topology_.network, topology_.flows, slot.tunnels, demands, scenario,
         deadline);
-    slot.policy = outcome.policy;
+    slot.policy = std::move(outcome.solver_result.policy);
   });
 
   const EpochAccumulator total = runtime::parallel_reduce(

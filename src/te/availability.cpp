@@ -221,8 +221,8 @@ double AvailabilityStudy::evaluate_prete(
           DegradationScenario::none(stats_.num_fibers()));
       const auto probs = nature_probs(-1, 0.0);
       availability += c.probability *
-                      evaluate_policy(problem, outcome.policy, probs,
-                                      FailureReaction::kRateAdaptation);
+                      evaluate_policy(problem, outcome.solver_result.policy,
+                                      probs, FailureReaction::kRateAdaptation);
       continue;
     }
 
@@ -270,8 +270,8 @@ double AvailabilityStudy::evaluate_prete(
           topology_.network, topology_.flows, tunnels, planning_demands, s);
       const auto probs = nature_probs(c.fiber, branch.actual);
       availability += c.probability * branch.weight *
-                      evaluate_policy(problem, outcome.policy, probs,
-                                      FailureReaction::kRateAdaptation);
+                      evaluate_policy(problem, outcome.solver_result.policy,
+                                      probs, FailureReaction::kRateAdaptation);
     }
   }
   if (mass < 1.0) {
@@ -285,8 +285,8 @@ double AvailabilityStudy::evaluate_prete(
         DegradationScenario::none(stats_.num_fibers()));
     const auto probs = nature_probs(-1, 0.0);
     availability += (1.0 - mass) *
-                    evaluate_policy(problem, outcome.policy, probs,
-                                    FailureReaction::kRateAdaptation);
+                    evaluate_policy(problem, outcome.solver_result.policy,
+                                    probs, FailureReaction::kRateAdaptation);
   }
   return availability;
 }

@@ -6,13 +6,11 @@ namespace prete::te {
 
 std::vector<int> add_allocation_variables(lp::Model& model,
                                           const TeProblem& problem) {
-  const net::TunnelSet& tunnels = *problem.tunnels;
+  const int n = problem.tunnels->num_tunnels();
   std::vector<int> vars;
-  vars.reserve(static_cast<std::size_t>(tunnels.num_tunnels()));
-  for (const net::Tunnel& t : tunnels.tunnels()) {
-    vars.push_back(model.add_variable(0.0, lp::kInfinity, 0.0,
-                                      "a_f" + std::to_string(t.flow) + "_t" +
-                                          std::to_string(t.id)));
+  vars.reserve(static_cast<std::size_t>(n));
+  for (int t = 0; t < n; ++t) {
+    vars.push_back(model.add_variable(0.0, lp::kInfinity, 0.0));
   }
   return vars;
 }
@@ -33,8 +31,7 @@ void add_capacity_rows(lp::Model& model, const TeProblem& problem,
   for (net::LinkId e = 0; e < net.num_links(); ++e) {
     if (rows[static_cast<std::size_t>(e)].empty()) continue;
     model.add_row(std::move(rows[static_cast<std::size_t>(e)]),
-                  lp::RowType::kLessEqual, net.link(e).capacity_gbps,
-                  "cap_e" + std::to_string(e));
+                  lp::RowType::kLessEqual, net.link(e).capacity_gbps);
   }
 }
 

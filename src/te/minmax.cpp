@@ -77,7 +77,7 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
 
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(model, problem);
-  const int phi = model.add_variable(0.0, 1.0, 1.0, "Phi");
+  const int phi = model.add_variable(0.0, 1.0, 1.0);
   // delta_{f,q} binaries and l_{f,q} losses.
   std::map<std::pair<int, std::size_t>, int> delta;
   std::map<std::pair<int, std::size_t>, int> loss;
@@ -217,7 +217,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   const auto& Q = scenarios.scenarios;
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(model, problem);
-  const int var_t = model.add_variable(0.0, 1.0, 1.0, "VaR");
+  const int var_t = model.add_variable(0.0, 1.0, 1.0);
   add_capacity_rows(model, problem, alloc);
   const double tail = std::max(1.0 - beta, 1e-6);
   const double flow_weight = 1.0 / static_cast<double>(flows.size());
@@ -562,7 +562,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // maps back to its key to assemble the Benders cut.
     lp::Model sp(lp::Sense::kMinimize);
     const std::vector<int> alloc = add_allocation_variables(sp, problem);
-    const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
+    const int phi = sp.add_variable(0.0, 1.0, 1.0);
     add_capacity_rows(sp, problem, alloc);
     const int fixed_rows = sp.num_rows();
     using Key = FlowGroupKey;
@@ -696,7 +696,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
         }
       }
     }
-    const bool gap_closed = bounds.update(lb, options.epsilon);
+    const bool gap_closed = bounds.update(lb, kBendersEpsilon);
     // Restart rule: rescaled bank weights stay priced for the demands they
     // were derived under and can lock the greedy master at a delta where
     // this run's own cuts read above the incumbent. A crossing while they

@@ -33,13 +33,15 @@ namespace prete::te {
 // CVaR on the calibrated scenario set).
 inline constexpr double kGuaranteeThreshold = 0.05;
 
+// Benders convergence threshold on UB - LB (Algorithm 2's epsilon).
+inline constexpr double kBendersEpsilon = 1e-4;
+
+// Knobs of one min-max solve. The convergence threshold is kBendersEpsilon.
 struct MinMaxOptions {
   double beta = 0.99;
-  // Benders convergence threshold on UB - LB (Algorithm 2's epsilon).
-  double epsilon = 1e-4;
   int max_iterations = 25;
-  // Passed through to every LP solve inside the decomposition (pricing rule,
-  // tolerances). Defaults select devex pricing.
+  // Passed through to every LP solve inside the decomposition (refactor
+  // interval, anchor threshold, pricing window, anti-cycling limit).
   lp::SimplexOptions simplex;
   // Optional cooperative budget (see util::Deadline), checked at every
   // Benders iteration and — via the simplex options — at every pivot of

@@ -129,7 +129,6 @@ PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
   ShapeState& state = shape_state(problem_shape_signature(problem));
   outcome.solver_result = solve_min_max_benders(
       problem, outcome.scenarios, solver, &state.basis, &state.cut_bank);
-  outcome.policy = outcome.solver_result.policy;
   return outcome;
 }
 

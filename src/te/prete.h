@@ -63,8 +63,8 @@ class PreTeScheme {
  public:
   PreTeScheme(std::vector<double> static_fiber_probs, PreTeConfig config = {});
 
+  // The policy to install is solver_result.policy.
   struct Outcome {
-    TePolicy policy;
     ScenarioSet scenarios;           // the believed (calibrated) scenario set
     TunnelUpdateResult tunnel_update;
     MinMaxResult solver_result;

@@ -39,11 +39,10 @@ TePolicy FfcScheme::compute(const TeProblem& problem,
   granted.reserve(flows.size());
   for (const net::Flow& flow : flows) {
     const double d = demand_floor(problem, flow.id);
-    granted.push_back(model.add_variable(0.0, d, 1.0 / d,
-                                         "b_f" + std::to_string(flow.id)));
+    granted.push_back(model.add_variable(0.0, d, 1.0 / d));
   }
-  const int lambda = model.add_variable(
-      0.0, 1.0, 10.0 * static_cast<double>(flows.size()), "lambda");
+  const int lambda =
+      model.add_variable(0.0, 1.0, 10.0 * static_cast<double>(flows.size()));
   for (const net::Flow& flow : flows) {
     const double d = demand_floor(problem, flow.id);
     model.add_row({{granted[static_cast<std::size_t>(flow.id)], 1.0},
@@ -127,7 +126,7 @@ TePolicy solve_cvar(const TeProblem& problem, const ScenarioSet& scenarios,
   const auto& flows = *problem.flows;
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(model, problem);
-  const int var_t = model.add_variable(0.0, 1.0, 1.0, "VaR");
+  const int var_t = model.add_variable(0.0, 1.0, 1.0);
   const double tail = std::max(1.0 - beta, 1e-6);
   const double flow_weight = 1.0 / static_cast<double>(flows.size());
   add_capacity_rows(model, problem, alloc);

@@ -10,7 +10,7 @@ TePolicy SmoreScheme::compute(const TeProblem& problem, const ScenarioSet&) {
   //                  load(e) <= alpha * c_e.
   lp::Model model(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(model, problem);
-  const int alpha = model.add_variable(0.0, lp::kInfinity, 1.0, "alpha");
+  const int alpha = model.add_variable(0.0, lp::kInfinity, 1.0);
 
   for (const net::Flow& flow : *problem.flows) {
     std::vector<lp::Coefficient> coefs;

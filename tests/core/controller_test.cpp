@@ -51,10 +51,6 @@ TEST(ControllerTest, PeriodicRunProducesLosslessPolicy) {
   const auto decision = controller.on_te_period({5.0, 5.0});
   EXPECT_EQ(decision.new_tunnels, 0);
   EXPECT_LT(decision.phi, 1e-6);
-  // Periodic runs skip detection: the pipeline starts at inference.
-  EXPECT_EQ(std::string(decision.pipeline.stages.front().name),
-            "degradation detection");
-  EXPECT_DOUBLE_EQ(decision.pipeline.stages.front().duration_ms, 0.0);
 }
 
 TEST(ControllerTest, DegradationCreatesTunnelsAndPolicy) {
@@ -404,18 +400,6 @@ TEST(ControllerTest, ThrowingPredictorFallsBackToStaticProbability) {
   ControlDecision decision;
   ASSERT_NO_THROW(decision = controller.on_degradation(features, {5.0, 5.0}));
   EXPECT_EQ(decision.fallback_level, FallbackLevel::kFull);
-}
-
-TEST(ControllerTest, PipelineIncludesDetectionOnDegradation) {
-  ControllerFixture fx;
-  Controller controller = fx.make();
-  optical::DegradationFeatures features;
-  features.fiber_id = 1;
-  const auto decision = controller.on_degradation(features, {5.0, 5.0});
-  EXPECT_GT(decision.pipeline.stages.front().duration_ms, 0.0);
-  // No tunnel installs on the triangle, so the pipeline ends with the
-  // control path; with installs it would extend beyond it.
-  EXPECT_GE(decision.pipeline.total_ms, decision.pipeline.control_path_ms);
 }
 
 TEST(ControllerTest, SolverBudgetRejectsInvalidValues) {

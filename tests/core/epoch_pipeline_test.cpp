@@ -226,9 +226,7 @@ TEST(EpochPipelineTest, TransientFailureRetriesThenQuarantines) {
   input.demands = fx.demands;
 
   Controller controller = fx.make_controller();
-  EpochPipelineConfig pipe_config;
-  pipe_config.max_ingest_attempts = 2;
-  EpochPipeline pipeline(controller, pipe_config);
+  EpochPipeline pipeline(controller, EpochPipelineConfig{});
   std::atomic<int> fetches{0};
   const std::vector<double> same = input.trace_db;
   pipeline.set_fetch_window([&](std::size_t, int) {

@@ -13,7 +13,7 @@ namespace {
 
 TEST(BranchAndBoundTest, PureLpPassthrough) {
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, 4.5, 1.0, "x");
+  const int x = m.add_variable(0, 4.5, 1.0);
   m.add_row({{x, 1.0}}, RowType::kLessEqual, 3.2);
   const Solution s = BranchAndBound().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -23,9 +23,9 @@ TEST(BranchAndBoundTest, PureLpPassthrough) {
 TEST(BranchAndBoundTest, SimpleKnapsack) {
   // max 5a + 4b + 3c st 2a + 3b + c <= 5, binary -> a=1, c=1: 8? a=1,b=1: 9.
   Model m(Sense::kMaximize);
-  const int a = m.add_binary(5.0, "a");
-  const int b = m.add_binary(4.0, "b");
-  const int c = m.add_binary(3.0, "c");
+  const int a = m.add_binary(5.0);
+  const int b = m.add_binary(4.0);
+  const int c = m.add_binary(3.0);
   m.add_row({{a, 2.0}, {b, 3.0}, {c, 1.0}}, RowType::kLessEqual, 5.0);
   const Solution s = BranchAndBound().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -38,7 +38,7 @@ TEST(BranchAndBoundTest, SimpleKnapsack) {
 TEST(BranchAndBoundTest, GeneralIntegerRounding) {
   // max x st 2x <= 7, x integer -> x=3 (LP relaxation gives 3.5).
   Model m(Sense::kMaximize);
-  const int x = m.add_integer(0, 100, 1.0, "x");
+  const int x = m.add_integer(0, 100, 1.0);
   m.add_row({{x, 2.0}}, RowType::kLessEqual, 7.0);
   const Solution s = BranchAndBound().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -48,8 +48,8 @@ TEST(BranchAndBoundTest, GeneralIntegerRounding) {
 
 TEST(BranchAndBoundTest, InfeasibleBinary) {
   Model m;
-  const int a = m.add_binary(1.0, "a");
-  const int b = m.add_binary(1.0, "b");
+  const int a = m.add_binary(1.0);
+  const int b = m.add_binary(1.0);
   m.add_row({{a, 1.0}, {b, 1.0}}, RowType::kGreaterEqual, 3.0);
   EXPECT_EQ(BranchAndBound().solve(m).status, SolveStatus::kInfeasible);
 }
@@ -57,9 +57,9 @@ TEST(BranchAndBoundTest, InfeasibleBinary) {
 TEST(BranchAndBoundTest, EqualityCover) {
   // min a + b + c st a + b + c = 2 (binary) -> objective 2.
   Model m;
-  const int a = m.add_binary(1.0, "a");
-  const int b = m.add_binary(1.0, "b");
-  const int c = m.add_binary(1.0, "c");
+  const int a = m.add_binary(1.0);
+  const int b = m.add_binary(1.0);
+  const int c = m.add_binary(1.0);
   m.add_row({{a, 1.0}, {b, 1.0}, {c, 1.0}}, RowType::kEqual, 2.0);
   const Solution s = BranchAndBound().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -77,7 +77,7 @@ TEST(BranchAndBoundTest, MixedIntegerProblem) {
   const int i1 = m.add_binary(2.0);
   const int i2 = m.add_binary(2.0);
   const int i3 = m.add_binary(2.0);
-  const int y = m.add_variable(0, 1.5, 1.0, "y");
+  const int y = m.add_variable(0, 1.5, 1.0);
   m.add_row({{i1, 1.0}, {i2, 1.0}, {i3, 1.0}, {y, 1.0}}, RowType::kLessEqual,
             3.7);
   const Solution s = BranchAndBound().solve(m);
@@ -89,7 +89,7 @@ TEST(BranchAndBoundTest, FractionallyFixedIntegerInfeasible) {
   // The equality 2z = 1 admits only z = 0.5, so branching on the integer z
   // must prove the model infeasible.
   Model m(Sense::kMaximize);
-  const int z = m.add_integer(0, 4, 1.0, "z");
+  const int z = m.add_integer(0, 4, 1.0);
   m.add_row({{z, 2.0}}, RowType::kEqual, 1.0);
   EXPECT_EQ(BranchAndBound().solve(m).status, SolveStatus::kInfeasible);
 }
@@ -101,8 +101,8 @@ TEST(BranchAndBoundTest, RepeatedVariableInRowIsSummed) {
   for (const int lu_threshold : {1, INT_MAX}) {
     SCOPED_TRACE(lu_threshold == 1 ? "LU anchor" : "explicit anchor");
     Model m(Sense::kMaximize);
-    const int x0 = m.add_integer(0, 10, 1.0, "x0");
-    const int x1 = m.add_variable(0, kInfinity, 1.0, "x1");
+    const int x0 = m.add_integer(0, 10, 1.0);
+    const int x1 = m.add_variable(0, kInfinity, 1.0);
     m.add_row({{x0, 1.0}, {x0, 2.0}, {x1, 1.0}}, RowType::kLessEqual, 6.0);
     m.add_row({{x1, 1.0}}, RowType::kLessEqual, 1.0);
     m.add_row({{x0, 1.0}, {x1, -1.0}}, RowType::kGreaterEqual, 0.0);
@@ -199,7 +199,7 @@ TEST(BranchAndBoundWaveTest, WorkCountersPopulated) {
   EXPECT_GE(s.eta_peak, 0);
   // Pure LP solves report zero nodes.
   Model lp(Sense::kMaximize);
-  const int x = lp.add_variable(0, 4.5, 1.0, "x");
+  const int x = lp.add_variable(0, 4.5, 1.0);
   lp.add_row({{x, 1.0}}, RowType::kLessEqual, 3.2);
   EXPECT_EQ(BranchAndBound().solve(lp).nodes_explored, 0);
 }

@@ -7,9 +7,9 @@ namespace {
 
 TEST(ModelTest, VariableBookkeeping) {
   Model m;
-  const int x = m.add_variable(0, 10, 2.0, "x");
-  const int b = m.add_binary(1.0, "b");
-  const int i = m.add_integer(-3, 3, 0.5, "i");
+  const int x = m.add_variable(0, 10, 2.0);
+  const int b = m.add_binary(1.0);
+  const int i = m.add_integer(-3, 3, 0.5);
   EXPECT_EQ(m.num_variables(), 3);
   EXPECT_DOUBLE_EQ(m.variable(x).upper, 10.0);
   EXPECT_TRUE(m.variable(b).is_integer);

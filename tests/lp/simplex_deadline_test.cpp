@@ -14,8 +14,8 @@ namespace {
 // max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  -> x=2, y=6, obj=36.
 Model classic_model(int* x_out, int* y_out) {
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, kInfinity, 3.0, "x");
-  const int y = m.add_variable(0, kInfinity, 5.0, "y");
+  const int x = m.add_variable(0, kInfinity, 3.0);
+  const int y = m.add_variable(0, kInfinity, 5.0);
   m.add_row({{x, 1.0}}, RowType::kLessEqual, 4.0);
   m.add_row({{y, 2.0}}, RowType::kLessEqual, 12.0);
   m.add_row({{x, 3.0}, {y, 2.0}}, RowType::kLessEqual, 18.0);
@@ -103,8 +103,8 @@ TEST(SimplexDeadlineTest, Phase1LimitYieldsEmptyX) {
   // Two equality rows force two artificials, so phase 1 needs at least two
   // pivots; a budget of one expires before any feasible point exists.
   Model m(Sense::kMinimize);
-  const int x = m.add_variable(0.0, kInfinity, 1.0, "x");
-  const int y = m.add_variable(0.0, kInfinity, 1.0, "y");
+  const int x = m.add_variable(0.0, kInfinity, 1.0);
+  const int y = m.add_variable(0.0, kInfinity, 1.0);
   m.add_row({{x, 1.0}}, RowType::kEqual, 3.0);
   m.add_row({{y, 1.0}}, RowType::kEqual, 4.0);
 

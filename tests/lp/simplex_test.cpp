@@ -14,7 +14,7 @@ namespace {
 
 TEST(SimplexTest, TrivialBoundsOnly) {
   Model m(Sense::kMaximize);
-  m.add_variable(0.0, 5.0, 1.0, "x");
+  m.add_variable(0.0, 5.0, 1.0);
   const Solution s = SimplexSolver().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_DOUBLE_EQ(s.objective, 5.0);
@@ -23,15 +23,15 @@ TEST(SimplexTest, TrivialBoundsOnly) {
 
 TEST(SimplexTest, UnboundedWithoutRows) {
   Model m(Sense::kMaximize);
-  m.add_variable(0.0, kInfinity, 1.0, "x");
+  m.add_variable(0.0, kInfinity, 1.0);
   EXPECT_EQ(SimplexSolver().solve(m).status, SolveStatus::kUnbounded);
 }
 
 TEST(SimplexTest, ClassicTwoVariableMax) {
   // max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18  -> x=2, y=6, obj=36.
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, kInfinity, 3.0, "x");
-  const int y = m.add_variable(0, kInfinity, 5.0, "y");
+  const int x = m.add_variable(0, kInfinity, 3.0);
+  const int y = m.add_variable(0, kInfinity, 5.0);
   m.add_row({{x, 1.0}}, RowType::kLessEqual, 4.0);
   m.add_row({{y, 2.0}}, RowType::kLessEqual, 12.0);
   m.add_row({{x, 3.0}, {y, 2.0}}, RowType::kLessEqual, 18.0);
@@ -46,8 +46,8 @@ TEST(SimplexTest, MinimizationWithGreaterEqual) {
   // min 2x + 3y st x + y >= 10, x >= 2 -> x=8? No: cost favors x (2<3), so
   // y=0, x=10, obj=20.
   Model m(Sense::kMinimize);
-  const int x = m.add_variable(2.0, kInfinity, 2.0, "x");
-  const int y = m.add_variable(0.0, kInfinity, 3.0, "y");
+  const int x = m.add_variable(2.0, kInfinity, 2.0);
+  const int y = m.add_variable(0.0, kInfinity, 3.0);
   m.add_row({{x, 1.0}, {y, 1.0}}, RowType::kGreaterEqual, 10.0);
   const Solution s = SimplexSolver().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -58,8 +58,8 @@ TEST(SimplexTest, MinimizationWithGreaterEqual) {
 TEST(SimplexTest, EqualityConstraint) {
   // min x + y st x + 2y = 4, 0 <= x,y <= 3 -> y=2, x=0, obj=2.
   Model m;
-  const int x = m.add_variable(0, 3, 1.0, "x");
-  const int y = m.add_variable(0, 3, 1.0, "y");
+  const int x = m.add_variable(0, 3, 1.0);
+  const int y = m.add_variable(0, 3, 1.0);
   m.add_row({{x, 1.0}, {y, 2.0}}, RowType::kEqual, 4.0);
   const Solution s = SimplexSolver().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -69,15 +69,15 @@ TEST(SimplexTest, EqualityConstraint) {
 
 TEST(SimplexTest, InfeasibleDetected) {
   Model m;
-  const int x = m.add_variable(0, 1, 1.0, "x");
+  const int x = m.add_variable(0, 1, 1.0);
   m.add_row({{x, 1.0}}, RowType::kGreaterEqual, 2.0);
   EXPECT_EQ(SimplexSolver().solve(m).status, SolveStatus::kInfeasible);
 }
 
 TEST(SimplexTest, InfeasibleSystemOfEqualities) {
   Model m;
-  const int x = m.add_variable(0, kInfinity, 0.0, "x");
-  const int y = m.add_variable(0, kInfinity, 0.0, "y");
+  const int x = m.add_variable(0, kInfinity, 0.0);
+  const int y = m.add_variable(0, kInfinity, 0.0);
   m.add_row({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 1.0);
   m.add_row({{x, 1.0}, {y, 1.0}}, RowType::kEqual, 2.0);
   EXPECT_EQ(SimplexSolver().solve(m).status, SolveStatus::kInfeasible);
@@ -85,8 +85,8 @@ TEST(SimplexTest, InfeasibleSystemOfEqualities) {
 
 TEST(SimplexTest, UnboundedDetected) {
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, kInfinity, 1.0, "x");
-  const int y = m.add_variable(0, kInfinity, 0.0, "y");
+  const int x = m.add_variable(0, kInfinity, 1.0);
+  const int y = m.add_variable(0, kInfinity, 0.0);
   m.add_row({{x, 1.0}, {y, -1.0}}, RowType::kLessEqual, 1.0);
   EXPECT_EQ(SimplexSolver().solve(m).status, SolveStatus::kUnbounded);
 }
@@ -94,7 +94,7 @@ TEST(SimplexTest, UnboundedDetected) {
 TEST(SimplexTest, NegativeLowerBounds) {
   // min x st x >= -5 with row x >= -3 -> x=-3.
   Model m;
-  const int x = m.add_variable(-5.0, kInfinity, 1.0, "x");
+  const int x = m.add_variable(-5.0, kInfinity, 1.0);
   m.add_row({{x, 1.0}}, RowType::kGreaterEqual, -3.0);
   const Solution s = SimplexSolver().solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
@@ -104,8 +104,8 @@ TEST(SimplexTest, NegativeLowerBounds) {
 TEST(SimplexTest, FreeVariable) {
   // min y st y >= x - 4, y >= -x, x free -> optimum at x=2, y=-2.
   Model m;
-  const int x = m.add_variable(-kInfinity, kInfinity, 0.0, "x");
-  const int y = m.add_variable(-kInfinity, kInfinity, 1.0, "y");
+  const int x = m.add_variable(-kInfinity, kInfinity, 0.0);
+  const int y = m.add_variable(-kInfinity, kInfinity, 1.0);
   m.add_row({{y, 1.0}, {x, -1.0}}, RowType::kGreaterEqual, -4.0);
   m.add_row({{y, 1.0}, {x, 1.0}}, RowType::kGreaterEqual, 0.0);
   const Solution s = SimplexSolver().solve(m);
@@ -116,8 +116,8 @@ TEST(SimplexTest, FreeVariable) {
 TEST(SimplexTest, DegenerateProblemTerminates) {
   // Multiple redundant constraints intersecting at the optimum.
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, kInfinity, 1.0, "x");
-  const int y = m.add_variable(0, kInfinity, 1.0, "y");
+  const int x = m.add_variable(0, kInfinity, 1.0);
+  const int y = m.add_variable(0, kInfinity, 1.0);
   m.add_row({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 1.0);
   m.add_row({{x, 1.0}, {y, 1.0}}, RowType::kLessEqual, 1.0);
   m.add_row({{x, 2.0}, {y, 2.0}}, RowType::kLessEqual, 2.0);
@@ -130,8 +130,8 @@ TEST(SimplexTest, DegenerateProblemTerminates) {
 TEST(SimplexTest, DualsMatchShadowPrices) {
   // max 3x + 5y with binding rows; duals must equal d(obj)/d(rhs).
   Model m(Sense::kMaximize);
-  const int x = m.add_variable(0, kInfinity, 3.0, "x");
-  const int y = m.add_variable(0, kInfinity, 5.0, "y");
+  const int x = m.add_variable(0, kInfinity, 3.0);
+  const int y = m.add_variable(0, kInfinity, 5.0);
   m.add_row({{x, 1.0}}, RowType::kLessEqual, 4.0);
   const int r1 = m.add_row({{y, 2.0}}, RowType::kLessEqual, 12.0);
   const int r2 = m.add_row({{x, 3.0}, {y, 2.0}}, RowType::kLessEqual, 18.0);
@@ -146,8 +146,8 @@ TEST(SimplexTest, DualsMatchShadowPrices) {
   Model m2 = m;
   Row perturbed = m2.row(r2);
   Model m3(Sense::kMaximize);
-  const int x3 = m3.add_variable(0, kInfinity, 3.0, "x");
-  const int y3 = m3.add_variable(0, kInfinity, 5.0, "y");
+  const int x3 = m3.add_variable(0, kInfinity, 3.0);
+  const int y3 = m3.add_variable(0, kInfinity, 5.0);
   m3.add_row({{x3, 1.0}}, RowType::kLessEqual, 4.0);
   m3.add_row({{y3, 2.0}}, RowType::kLessEqual, 12.0);
   m3.add_row({{x3, 3.0}, {y3, 2.0}}, RowType::kLessEqual, 18.0 + 0.5);
@@ -162,12 +162,12 @@ TEST(SimplexTest, MaxFlowAsLp) {
   // a->b (cap 1). Max flow = 5 (2 via a->t, 2 via b->t, 1 via a->b->t);
   // the min cut is the source's outgoing capacity 3+2.
   Model m(Sense::kMaximize);
-  const int sa = m.add_variable(0, 3, 0, "sa");
-  const int sb = m.add_variable(0, 2, 0, "sb");
-  const int at = m.add_variable(0, 2, 0, "at");
-  const int bt = m.add_variable(0, 3, 0, "bt");
-  const int ab = m.add_variable(0, 1, 0, "ab");
-  const int f = m.add_variable(0, kInfinity, 1.0, "flow");
+  const int sa = m.add_variable(0, 3, 0);
+  const int sb = m.add_variable(0, 2, 0);
+  const int at = m.add_variable(0, 2, 0);
+  const int bt = m.add_variable(0, 3, 0);
+  const int ab = m.add_variable(0, 1, 0);
+  const int f = m.add_variable(0, kInfinity, 1.0);
   // Conservation: a: sa = at + ab; b: sb + ab = bt; s: sa + sb = f.
   m.add_row({{sa, 1.0}, {at, -1.0}, {ab, -1.0}}, RowType::kEqual, 0.0);
   m.add_row({{sb, 1.0}, {ab, 1.0}, {bt, -1.0}}, RowType::kEqual, 0.0);
@@ -366,8 +366,8 @@ TEST(SimplexTest, RepeatedVariableInRowIsSummed) {
   for (const int lu_threshold : {1, INT_MAX}) {
     SCOPED_TRACE(lu_threshold == 1 ? "LU anchor" : "explicit anchor");
     Model m(Sense::kMaximize);
-    const int x0 = m.add_variable(0, kInfinity, 1.0, "x0");
-    const int x1 = m.add_variable(0, kInfinity, 1.0, "x1");
+    const int x0 = m.add_variable(0, kInfinity, 1.0);
+    const int x1 = m.add_variable(0, kInfinity, 1.0);
     m.add_row({{x0, 1.0}, {x0, 2.0}, {x1, 1.0}}, RowType::kLessEqual, 6.0);
     m.add_row({{x1, 1.0}}, RowType::kLessEqual, 1.0);
     m.add_row({{x0, 1.0}, {x1, -1.0}}, RowType::kGreaterEqual, 0.0);

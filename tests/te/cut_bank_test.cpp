@@ -52,7 +52,7 @@ double subproblem_value(const TeProblem& problem, const ScenarioSet& set,
                         const std::vector<std::vector<char>>& delta) {
   lp::Model sp(lp::Sense::kMinimize);
   const std::vector<int> alloc = add_allocation_variables(sp, problem);
-  const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
+  const int phi = sp.add_variable(0.0, 1.0, 1.0);
   add_capacity_rows(sp, problem, alloc);
   const SurvivalIndex survival(problem, set.scenarios);
   for (const net::Flow& flow : *problem.flows) {
@@ -150,8 +150,8 @@ TEST(CutBankTest, PerturbedProbabilitiesAgreeWithColdSolve) {
   EXPECT_EQ(warm.cuts_invalidated, 0);
   EXPECT_FALSE(warm.bound_crossed);
   EXPECT_EQ(warm.converged, cold.converged);
-  EXPECT_NEAR(warm.gap(), cold.gap(), options2.epsilon);
-  EXPECT_NEAR(warm.phi, cold.phi, options2.epsilon);
+  EXPECT_NEAR(warm.gap(), cold.gap(), kBendersEpsilon);
+  EXPECT_NEAR(warm.phi, cold.phi, kBendersEpsilon);
 }
 
 // A demand change rescales stored cuts instead of dropping them: every
@@ -219,7 +219,7 @@ TEST(CutBankTest, ScenarioPermutationReplaysEveryCut) {
   EXPECT_EQ(warm.cuts_replayed, banked);
   EXPECT_EQ(warm.cuts_invalidated, 0);
   EXPECT_EQ(warm.converged, cold.converged);
-  EXPECT_NEAR(warm.phi, cold.phi, options.epsilon);
+  EXPECT_NEAR(warm.phi, cold.phi, kBendersEpsilon);
 }
 
 TEST(CutBankTest, ShapeChangeResetsTheBank) {

@@ -53,7 +53,7 @@ TEST(B4PivotPathTest, DegradationDecisionsKeepTheirPivots) {
     pivots += result.simplex_pivots;
     digest = util::fnv1a_u64(digest, static_cast<std::uint64_t>(result.simplex_pivots));
     digest = util::fnv1a_u64(digest, std::bit_cast<std::uint64_t>(result.phi));
-    for (const double a : outcome.policy.allocation) {
+    for (const double a : result.policy.allocation) {
       digest = util::fnv1a_u64(digest, std::bit_cast<std::uint64_t>(a));
     }
   };

@@ -99,7 +99,8 @@ TEST(PreTeTest, PolicySurvivesThePredictedCut) {
   problem.tunnels = &tunnels;
   problem.demands = {5.0, 5.0};
   const FailureScenario cut({0}, 1.0);
-  const auto losses = flow_losses(problem, outcome.policy, cut);
+  const auto losses =
+      flow_losses(problem, outcome.solver_result.policy, cut);
   // Figure 7(b): "our approach still supports 10 units" for both flows.
   EXPECT_LT(losses[0], 1e-5);
   EXPECT_LT(losses[1], 1e-5);

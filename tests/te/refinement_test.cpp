@@ -68,7 +68,7 @@ TEST(RefinementTest, B4RefinementPastNineHundredRowsKeepsEveryGuarantee) {
   double worst = 0.0;
   for (std::size_t q = 0; q < Q.size(); ++q) {
     const std::vector<double> losses =
-        flow_losses(problem, outcome.policy, Q[q]);
+        flow_losses(problem, result.policy, Q[q]);
     for (const net::Flow& flow : topo.flows) {
       const std::vector<char>& kept =
           result.delta[static_cast<std::size_t>(flow.id)];
@@ -87,7 +87,7 @@ TEST(RefinementTest, B4RefinementPastNineHundredRowsKeepsEveryGuarantee) {
                          << result.phi;
   const double beta =
       std::min(config.beta, outcome.scenarios.covered_probability);
-  EXPECT_LE(evaluate_phi(problem, outcome.scenarios, beta, outcome.policy),
+  EXPECT_LE(evaluate_phi(problem, outcome.scenarios, beta, result.policy),
             result.phi + 1e-6);
 }
 

@@ -116,7 +116,8 @@ TEST(WorkedExample, Figure7DegradationPreparationKeepsThroughput) {
       ex.topo.network, ex.topo.flows, tunnels, ex.problem.demands, s);
 
   const FailureScenario cut({0}, 1.0);
-  const auto losses = flow_losses(ex.problem, outcome.policy, cut);
+  const auto losses =
+      flow_losses(ex.problem, outcome.solver_result.policy, cut);
   EXPECT_LT(losses[0], 1e-5);  // flow s1s2 rerouted onto s1s3s2
   EXPECT_LT(losses[1], 1e-5);
 
