@@ -2,7 +2,10 @@
 // MonteCarloConfig default) at 1 thread vs the configured pool size, with a
 // bit-identity check between the two runs. This is the determinism +
 // speedup demonstration for the parallel runtime; the per-phase timings
-// feed the BENCH_*.json trajectory.
+// feed the BENCH_*.json trajectory. A TE solve runs on its calling thread,
+// so the solve-chain phases (benders_master, basis_carry, cut_bank) have no
+// pool work: their second leg repeats the first for the bit-identity check,
+// and a ratio near 1.0x between the legs is noise, not scaling.
 //
 // Usage: bench_runtime_scaling [--threads=N]   (default: PRETE_THREADS or
 // hardware concurrency for the parallel run).
@@ -40,7 +43,9 @@ sim::MonteCarloConfig mc_config(int epochs) {
 }
 
 // Benders master phase: repeated solves on a B4 instance with a two-failure
-// scenario set, so cut evaluation and the per-flow drop ordering dominate.
+// scenario set, so the master pass (cut evaluation and the per-flow drop
+// ordering) weighs more than in a one-failure solve. Serial at any pool
+// size: the legs differ only by noise.
 struct MasterSample {
   double phi = 0;
   double lower_bound = 0;
@@ -344,7 +349,8 @@ BnbSample run_bnb_phase(int repeats) {
 // probability-sorted scenario set reorders (as in the cut_bank phase): the
 // cache's pattern-keyed recipes must still line up. After the first epoch
 // the cached run must spend fewer pivots; the seeds the cache offered,
-// installed and rejected are reported alongside.
+// installed and rejected are reported alongside. A chain of serial simplex
+// solves with no pool work: the legs differ only by noise.
 struct CarrySample {
   int cold_first_epoch_pivots = 0;
   int cold_tail_pivots = 0;     // epochs after the first, stateless
@@ -427,7 +433,8 @@ CarrySample run_carry_phase(const bench::Context& ctx,
 // exactly what the bank's signature keying must absorb. Every epoch is
 // solved twice: cold (no state) and warm (a carried te::CutBank); the gate
 // requires the warm steady-state tail to cut Benders iterations AND total
-// pivots while agreeing with every cold objective to the bit.
+// pivots while agreeing with every cold objective to the bit. No pool work
+// either: the legs differ only by noise.
 struct CutBankSample {
   int cold_tail_iterations = 0;
   int warm_tail_iterations = 0;

@@ -107,6 +107,9 @@ te::TePolicy Controller::static_floor(const net::TrafficMatrix& demands) const {
 ControlDecision Controller::run_pipeline(
     const te::DegradationScenario& scenario, const net::TrafficMatrix& demands,
     const te::PreTeScheme::Prepared* prepared, util::Deadline* external) {
+  if (demands.size() != topology_.flows.size()) {
+    throw std::invalid_argument("demand vector size differs from flow count");
+  }
   // With an external deadline the configured budgets are armed on it and
   // it is threaded through the solve even when unlimited — that is what
   // lets another thread's request_cancel() reach the pivot loop. An

@@ -111,6 +111,11 @@ struct PreparedEpoch {
 // incumbent, or a validator rejection moves to the next rung; the static
 // floor always succeeds, so a decision is always produced and is always
 // safe to install.
+//
+// Every entry point that takes `demands` throws std::invalid_argument when
+// it does not hold one entry per topology flow. The throw comes before the
+// ladder and leaves the tunnel table, the solver caches, the armed faults
+// and the last-good snapshot as they were.
 class Controller {
  public:
   Controller(const net::Topology& topology,

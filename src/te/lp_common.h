@@ -9,7 +9,6 @@
 
 #include "lp/model.h"
 #include "lp/simplex.h"
-#include "runtime/parallel.h"
 #include "te/scenario.h"
 #include "te/types.h"
 
@@ -41,8 +40,8 @@ inline double demand_floor(const TeProblem& problem, net::FlowId f) {
 // pattern q, in tunnels_for_flow order, so rows built from it keep their
 // coefficient order. An empty entry is a fatal pair: no allocation reaches
 // the flow. Built once per solve by inversion — each pattern marks the
-// tunnels riding its failed fibers — and read-only afterwards, so pool
-// workers share it during pricing.
+// tunnels riding its failed fibers — and read-only afterwards, so any
+// number of threads may read it at once.
 class SurvivalIndex {
  public:
   // `patterns`: a ScenarioSet's scenarios, or FFC's failure sets. Only
@@ -222,14 +221,12 @@ class RowGenerator {
 
   // Runs the loop from `warm` (may be invalid). `price(solution, i, out)`
   // appends the violated missing rows of pricing group i < `groups` (a
-  // scenario, or one of FFC's failure sets) to `out`. Groups price in
-  // parallel and concatenate in index order, so the candidate list is the
-  // serial sweep's at any pool size.
+  // scenario, or one of FFC's failure sets) to `out`. Groups price on the
+  // calling thread in ascending index order into one candidate list.
   template <class Price>
   RowGeneration<Key> run(const lp::SimplexOptions& options,
                          const lp::SimplexBasis& warm, std::size_t groups,
                          Price&& price) {
-    using Candidates = std::vector<RowCandidate<Key>>;
     const lp::SimplexSolver solver(options);
     RowGeneration<Key> out;
     const lp::SimplexBasis* seed = warm.valid() ? &warm : nullptr;
@@ -254,18 +251,8 @@ class RowGenerator {
       out.basis = std::move(basis);
       snapshot_keys = keys_.size();
       seed = &out.basis;
-      const auto per_group = runtime::parallel_map(
-          groups,
-          [&](std::size_t i) {
-            Candidates found;
-            price(out.optimal, i, found);
-            return found;
-          },
-          /*grain=*/4);
-      Candidates violated;
-      for (const Candidates& found : per_group) {
-        violated.insert(violated.end(), found.begin(), found.end());
-      }
+      std::vector<RowCandidate<Key>> violated;
+      for (std::size_t i = 0; i < groups; ++i) price(out.optimal, i, violated);
       if (violated.empty()) {
         out.stop = RowStop::kPriced;
         break;

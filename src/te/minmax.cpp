@@ -9,7 +9,6 @@
 
 #include "lp/branch_and_bound.h"
 #include "lp/simplex.h"
-#include "runtime/parallel.h"
 #include "te/lp_common.h"
 #include "util/hash.h"
 
@@ -437,77 +436,57 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   std::vector<std::vector<char>> best_delta = delta;
 
   // Master pass: per-flow scenario selection over the current cut list.
-  // Each flow's pass is independent — it aggregates its own cut weights
-  // (max over cuts, a monotone proxy that keeps every cut's reduction
-  // opportunities visible; the cut maps are ordered by (flow, scenario),
-  // so a flow's entries are one contiguous range), sorts its own drop
-  // order, and spends its own budget. Flows shard over the pool and write
-  // disjoint delta rows — including their slot of the activity marks — so
-  // the pass is bit-identical at any pool size. With a bank, the cut whose
-  // weight wins a spent drop is marked active: it steered the selection,
-  // which is the signal that keeps its bank entry alive.
-  //
-  // One flow's pass costs about a microsecond (at most 25 cuts), less than
-  // a pool task costs to schedule. Measured per pass on the decision
-  // benchmark (pool 3 + caller): B4's 52 flows take 26 us inline and 83 us
-  // as one task per flow; the continental plant's 64 flows 73 vs 112 us. So
-  // a task gets at least 64 flows, and both run the pass inline.
-  constexpr std::size_t kMasterFlowsPerTask = 64;
-  std::vector<std::vector<int>> master_marks(
-      cut_bank != nullptr ? flows.size() : 0);
+  // Each flow's pass aggregates its own cut weights (max over cuts, a
+  // monotone proxy that keeps every cut's reduction opportunities visible;
+  // the cut maps are ordered by (flow, scenario), so a flow's entries are
+  // one contiguous range), sorts its own drop order, and spends its own
+  // budget. With a bank, the cut whose weight wins a spent drop is marked
+  // active: it steered the selection, which is the signal that keeps its
+  // bank entry alive.
   auto run_master = [&]() {
     const bool track = cut_bank != nullptr;
-    runtime::parallel_for(
-        flows.size(),
-        [&](std::size_t fi) {
-          const net::Flow& flow = flows[fi];
-          const auto f = static_cast<std::size_t>(flow.id);
-          std::vector<double> weight(Q.size(), 0.0);
-          std::vector<int> arg(track ? Q.size() : 0, -1);
-          for (std::size_t ci = 0; ci < cuts.size(); ++ci) {
-            const BendersCut& c = cuts[ci];
-            for (auto it = c.weights.lower_bound({flow.id, 0});
-                 it != c.weights.end() && it->first.first == flow.id; ++it) {
-              double& cell = weight[it->first.second];
-              if (it->second > cell) {
-                cell = it->second;
-                if (track) arg[it->first.second] = static_cast<int>(ci);
-              }
-            }
+    for (const net::Flow& flow : flows) {
+      const auto f = static_cast<std::size_t>(flow.id);
+      std::vector<double> weight(Q.size(), 0.0);
+      std::vector<int> arg(track ? Q.size() : 0, -1);
+      for (std::size_t ci = 0; ci < cuts.size(); ++ci) {
+        const BendersCut& c = cuts[ci];
+        for (auto it = c.weights.lower_bound({flow.id, 0});
+             it != c.weights.end() && it->first.first == flow.id; ++it) {
+          double& cell = weight[it->first.second];
+          if (it->second > cell) {
+            cell = it->second;
+            if (track) arg[it->first.second] = static_cast<int>(ci);
           }
-          auto& df = delta[f];
-          const auto& pins = fatal[f];
-          const double budget = base_budget - pinned_mass[f];
-          for (std::size_t q = 0; q < Q.size(); ++q) df[q] = pins[q] ? 0 : 1;
-          // Drop the unpinned scenarios a cut weighs in decreasing weight
-          // while the mass budget allows; ties broken toward
-          // lower-probability scenarios (cheaper to drop), then lower q.
-          std::vector<std::size_t> order;
-          for (std::size_t q = 0; q < Q.size(); ++q) {
-            if (!pins[q] && weight[q] > 0.0) order.push_back(q);
+        }
+      }
+      auto& df = delta[f];
+      const auto& pins = fatal[f];
+      const double budget = base_budget - pinned_mass[f];
+      for (std::size_t q = 0; q < Q.size(); ++q) df[q] = pins[q] ? 0 : 1;
+      // Drop the unpinned scenarios a cut weighs in decreasing weight while
+      // the mass budget allows; ties broken toward lower-probability
+      // scenarios (cheaper to drop), then lower q.
+      std::vector<std::size_t> order;
+      for (std::size_t q = 0; q < Q.size(); ++q) {
+        if (!pins[q] && weight[q] > 0.0) order.push_back(q);
+      }
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        if (weight[a] != weight[b]) return weight[a] > weight[b];
+        if (Q[a].probability != Q[b].probability) {
+          return Q[a].probability < Q[b].probability;
+        }
+        return a < b;
+      });
+      double dropped = 0.0;
+      for (std::size_t q : order) {
+        if (dropped + Q[q].probability <= budget + 1e-12) {
+          df[q] = 0;
+          dropped += Q[q].probability;
+          if (track && arg[q] >= 0) {
+            cuts[static_cast<std::size_t>(arg[q])].active = true;
           }
-          std::sort(order.begin(), order.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (weight[a] != weight[b]) return weight[a] > weight[b];
-                      if (Q[a].probability != Q[b].probability) {
-                        return Q[a].probability < Q[b].probability;
-                      }
-                      return a < b;
-                    });
-          double dropped = 0.0;
-          if (track) master_marks[fi].clear();
-          for (std::size_t q : order) {
-            if (dropped + Q[q].probability <= budget + 1e-12) {
-              df[q] = 0;
-              dropped += Q[q].probability;
-              if (track && arg[q] >= 0) master_marks[fi].push_back(arg[q]);
-            }
-          }
-        },
-        kMasterFlowsPerTask);
-    if (track) {
-      for (const std::vector<int>& marks : master_marks) {
-        for (int ci : marks) cuts[static_cast<std::size_t>(ci)].active = true;
+        }
       }
     }
   };
@@ -665,11 +644,9 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // ---- Master: per-flow scenario selection. ----
     run_master();
 
-    // Lower bound estimate: the master value at the new delta. The cut list
-    // grows linearly with iterations and each evaluation is independent;
-    // max is associative, so the chunked reduction is bit-identical at any
-    // pool size. A candidate above the incumbent marks the bounds as
-    // crossed instead of being clamped into a spurious zero gap.
+    // Lower bound estimate: the master value at the new delta. A candidate
+    // above the incumbent marks the bounds as crossed instead of being
+    // clamped into a spurious zero gap.
     //
     // Replayed cuts are EXCLUDED here even though they are valid: the
     // greedy master's delta does not minimize the cut envelope, so the
@@ -678,18 +655,14 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     // selection — the actual warm start — while only this run's own cuts
     // bound it (ROADMAP item 3 lets them in once the master is an envelope
     // minimiser).
-    const double lb = runtime::parallel_reduce(
-        cuts.size(), 0.0,
-        [&](std::size_t i) {
-          return cuts[i].bank_index >= 0 ? 0.0 : cuts[i].value(delta);
-        },
-        [](double a, double b) { return std::max(a, b); },
-        /*grain=*/8);
+    double lb = 0.0;
+    for (const BendersCut& c : cuts) {
+      if (c.bank_index < 0) lb = std::max(lb, c.value(delta));
+    }
     if (cut_bank != nullptr) {
       // Fresh cuts attaining the lower bound are doing the bounding work;
-      // that also keeps their future bank entries alive. Serial pass, so
-      // the marks are independent of the pool size. (Replayed cuts earn
-      // their keep through master_marks instead.)
+      // that also keeps their future bank entries alive. (Replayed cuts
+      // earn their keep in the master pass instead.)
       for (BendersCut& c : cuts) {
         if (!c.active && c.bank_index < 0 && c.value(delta) == lb) {
           c.active = true;

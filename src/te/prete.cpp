@@ -101,6 +101,13 @@ PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
     const net::Network& network, const std::vector<net::Flow>& flows,
     net::TunnelSet& tunnels, const net::TrafficMatrix& demands,
     const Prepared& prepared, util::Deadline* deadline) {
+  if (demands.size() != flows.size()) {
+    throw std::invalid_argument("demand vector size differs from flow count");
+  }
+  if (prepared.believed.degraded.size() !=
+      static_cast<std::size_t>(network.num_fibers())) {
+    throw std::invalid_argument("degraded mask size differs from fiber count");
+  }
   Outcome outcome;
 
   // Step 2 (§4.2, Algorithm 1): reactive tunnel updates per degraded fiber.

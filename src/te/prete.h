@@ -96,7 +96,9 @@ class PreTeScheme {
   // Equivalent to compute_for_degradation when `prepared` came from
   // prepare_scenarios on the same degradation — compute_for_degradation is
   // exactly the composition of the two halves, so pipelined and serial
-  // epochs produce bit-identical outcomes.
+  // epochs produce bit-identical outcomes. Throws std::invalid_argument,
+  // before touching the tunnel table or any cache, when `demands` does not
+  // hold one entry per flow or `prepared.believed.degraded` one per fiber.
   Outcome compute_with_prepared(const net::Network& network,
                                 const std::vector<net::Flow>& flows,
                                 net::TunnelSet& tunnels,

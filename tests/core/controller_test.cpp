@@ -130,6 +130,44 @@ TEST(ControllerTest, UnknownFiberThrows) {
                std::out_of_range);
 }
 
+TEST(ControllerTest, RejectsDemandsOfWrongSize) {
+  // Every solve and the static floor index demands by flow id, so a vector
+  // of the wrong length is refused before the ladder, with no state change.
+  net::Topology topo = net::make_b4();
+  std::vector<double> probs(static_cast<std::size_t>(topo.network.num_fibers()),
+                            0.005);
+  ControllerConfig config;
+  config.te.beta = 0.99;
+  config.te.solver.max_iterations = 6;  // bound test runtime
+  Controller controller(topo, probs,
+                        std::make_shared<FixedPredictor>(0.45), config);
+  util::Rng rng(5);
+  net::TrafficConfig tc;
+  tc.diurnal_swing = 0.0;
+  tc.noise = 0.0;
+  const auto demands =
+      net::generate_traffic(topo.network, topo.flows, rng, tc)[0];
+  const net::TrafficMatrix half(demands.begin(),
+                                demands.begin() + demands.size() / 2);
+  net::TrafficMatrix extra = demands;
+  extra.push_back(1.0);
+
+  const int tunnels = controller.tunnels().num_tunnels();
+  optical::DegradationFeatures features;
+  features.fiber_id = 0;
+  for (const net::TrafficMatrix& wrong : {half, extra}) {
+    EXPECT_THROW(controller.on_te_period(wrong), std::invalid_argument);
+    EXPECT_THROW(controller.on_degradation(features, wrong),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(controller.tunnels().num_tunnels(), tunnels);
+  EXPECT_EQ(controller.scheme().cache_stats().shapes, 0);
+
+  const auto decision = controller.on_degradation(features, demands);
+  EXPECT_EQ(decision.fallback_level, FallbackLevel::kFull);
+  EXPECT_GT(decision.new_tunnels, 0);
+}
+
 TEST(ControllerTest, CarriedBasisCutsPivotsAcrossEpochs) {
   // The controller's scheme persists across TE periods, so epoch 2 on the
   // same topology/tunnel set warm-starts from epoch 1's bases and must spend

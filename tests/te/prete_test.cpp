@@ -118,6 +118,45 @@ TEST(PreTeTest, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(PreTeTest, ComputeWithPreparedRejectsMismatchedSizes) {
+  // Demands must hold one entry per flow and the believed degradation mask
+  // one per fiber. A mismatch throws before the tunnel updates, so the
+  // tunnel table and the shape cache stay as they were.
+  net::Topology topo = net::make_triangle();
+  net::TunnelSet tunnels(2);
+  tunnels.add_tunnel(0, {0});
+  tunnels.add_tunnel(1, {2});
+  PreTeConfig config;
+  config.beta = 0.9;
+  PreTeScheme prete({0.01, 0.01, 0.01}, config);
+  DegradationScenario s = DegradationScenario::none(3);
+  s.degraded[0] = true;
+  s.predicted_prob[0] = 0.45;
+  const PreTeScheme::Prepared prepared =
+      prete.prepare_scenarios(topo.network, s);
+
+  for (const net::TrafficMatrix& demands :
+       {net::TrafficMatrix{10.0}, net::TrafficMatrix{10.0, 10.0, 10.0}}) {
+    EXPECT_THROW(prete.compute_with_prepared(topo.network, topo.flows, tunnels,
+                                             demands, prepared),
+                 std::invalid_argument);
+  }
+  for (const std::size_t fibers : {2u, 4u}) {
+    PreTeScheme::Prepared resized = prepared;
+    resized.believed.degraded.resize(fibers, false);
+    EXPECT_THROW(prete.compute_with_prepared(topo.network, topo.flows, tunnels,
+                                             {10.0, 10.0}, resized),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(tunnels.num_tunnels(), 2);
+  EXPECT_EQ(prete.cache_stats().shapes, 0);
+
+  // The well-sized call still runs the reactive update.
+  const auto outcome = prete.compute_with_prepared(
+      topo.network, topo.flows, tunnels, {10.0, 10.0}, prepared);
+  EXPECT_FALSE(outcome.tunnel_update.created.empty());
+}
+
 TEST(PreTeTest, AlphaZeroMatchesStaticScenarios) {
   // "If alpha equals 0 ... PreTE degrades to the existing work."
   net::Topology topo = net::make_triangle();

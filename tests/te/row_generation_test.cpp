@@ -3,8 +3,13 @@
 // deadline stop, and snapshot replay onto a fresh model prefix.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "runtime/thread_pool.h"
 #include "te/lp_common.h"
 #include "util/deadline.h"
 
@@ -97,6 +102,43 @@ TEST(RowGenerationTest, AddsAtMostSixtyRowsPerRoundInDescendingScore) {
     EXPECT_EQ(result.keys[static_cast<std::size_t>(i)], ToyLp::kKeys - 1 - i);
   }
   EXPECT_EQ(result.keys, rows.keys());
+}
+
+TEST(RowGenerationTest, PricesOnTheCallingThreadInGroupOrder) {
+  // A decision's LP solves form a dependent chain, and one pricing sweep is
+  // too little work to pay for a fork and join, so the sweep runs on the
+  // caller's thread in group order even when a pool has idle workers.
+  runtime::ThreadPool::set_global_threads(4);
+  ToyLp lp;
+  RowGenerator<int> rows = lp.generator();
+  const auto price = lp.pricer(rows);
+  std::mutex mutex;  // a sweep handed to the pool would call concurrently
+  std::vector<std::pair<std::thread::id, std::size_t>> calls;
+  const auto result = rows.run(
+      {}, {}, ToyLp::kKeys,
+      [&](const lp::Solution& sol, std::size_t k,
+          std::vector<RowCandidate<int>>& out) {
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          calls.push_back({std::this_thread::get_id(), k});
+        }
+        // Long enough per group for idle workers to wake and take part, had
+        // the sweep been handed to the pool.
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        price(sol, k, out);
+      });
+  runtime::ThreadPool::set_global_threads(0);
+  EXPECT_EQ(result.stop, RowStop::kPriced);
+  // One sweep of every group per optimal solve.
+  ASSERT_EQ(calls.size(),
+            static_cast<std::size_t>(result.solves) * ToyLp::kKeys);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, std::this_thread::get_id()) << "call " << i;
+    EXPECT_EQ(calls[i].second, i % ToyLp::kKeys) << "call " << i;
+  }
 }
 
 TEST(RowGenerationTest, DeadlineStopsAtRoundStartAndKeepsLastOptimum) {

@@ -232,7 +232,8 @@ TEST(SurvivalIndexTest, FlowWithNoSurvivorReadsFatal) {
 }
 
 TEST(SurvivalIndexTest, ConcurrentReadersSeeTheSerialEntries) {
-  // Pricing sweeps read one index from every pool worker at once.
+  // The index is read-only once built, so any number of threads may read
+  // it at once and each sees the entries a serial reader sees.
   const net::Topology topo = net::make_twan(3);
   const net::TunnelSet tunnels = net::build_tunnels(topo.network, topo.flows);
   const TeProblem problem = problem_for(topo, tunnels);
