@@ -161,10 +161,6 @@ ControlDecision Controller::run_pipeline(
     decision.new_tunnels =
         static_cast<int>(outcome.tunnel_update.created.size());
     decision.solver_pivots = outcome.solver_result.simplex_pivots;
-    decision.benders_iterations = outcome.solver_result.iterations;
-    decision.cuts_replayed = outcome.solver_result.cuts_replayed;
-    decision.cuts_invalidated = outcome.solver_result.cuts_invalidated;
-    decision.cuts_banked = outcome.solver_result.cuts_banked;
     decision.deadline_exceeded = outcome.solver_result.deadline_exceeded;
     te::TePolicy& policy = outcome.solver_result.policy;
     const PolicyCheck check = validate_policy(current_problem(demands), policy);

@@ -51,18 +51,6 @@ struct ControlDecision {
   // Simplex pivots spent producing this decision — drops on epochs that
   // reuse a carried basis (see te::BasisCache).
   int solver_pivots = 0;
-  // Benders iterations the solve took (0 when the solve threw before
-  // returning). Steady-state epochs with a warm cut bank converge in fewer
-  // iterations than cold ones.
-  int benders_iterations = 0;
-  // Cut-bank provenance of the solve behind this decision (see te::CutBank):
-  // persisted cuts replayed onto the master, stored cuts dropped by the
-  // validity check, and fresh cuts banked for the next epoch. All zero when
-  // the solve threw — on the ladder's lower rungs the counters still
-  // describe the attempted solve, whose bank writeback already happened.
-  int cuts_replayed = 0;
-  int cuts_invalidated = 0;
-  int cuts_banked = 0;
   // Degradation-ladder bookkeeping: which rung produced `policy`, whether
   // the solve deadline expired on the way, and the Benders bound gap of the
   // installed policy (0 at proven optimality, 1.0 on the ladder's lower

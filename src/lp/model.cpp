@@ -52,10 +52,6 @@ int Model::add_row(std::vector<Coefficient> coefficients, RowType type,
   return add_row(Row{std::move(coefficients), type, rhs});
 }
 
-void Model::set_objective(int var, double coefficient) {
-  variables_.at(static_cast<std::size_t>(var)).objective = coefficient;
-}
-
 void Model::set_bounds(int var, double lower, double upper) {
   if (lower > upper) throw std::invalid_argument("variable bounds crossed");
   auto& v = variables_.at(static_cast<std::size_t>(var));

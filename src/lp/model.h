@@ -47,9 +47,7 @@ class Model {
   int add_row(Row row);
   int add_row(std::vector<Coefficient> coefficients, RowType type, double rhs);
 
-  void set_objective(int var, double coefficient);
   void set_bounds(int var, double lower, double upper);
-  void set_sense(Sense sense) { sense_ = sense; }
 
   Sense sense() const { return sense_; }
   int num_variables() const { return static_cast<int>(variables_.size()); }

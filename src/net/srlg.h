@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "net/graph.h"
-#include "util/rng.h"
 
 namespace prete::net {
 
@@ -24,14 +23,6 @@ struct SrlgMap {
     return members[static_cast<std::size_t>(group)].size() == 1;
   }
 };
-
-// Trivial map: every fiber is its own risk group.
-SrlgMap identity_srlg(const Network& network);
-
-// Random conduit sharing: each adjacent fiber pair (sharing an endpoint) is
-// merged into one group with probability `share_prob`. Deterministic for a
-// given rng state.
-SrlgMap sample_srlg(const Network& network, double share_prob, util::Rng& rng);
 
 // Builds a map from explicit fiber groups (conduit bundles, weather cells).
 // Groups must be disjoint; fibers not listed in any group become singleton

@@ -17,11 +17,6 @@ TunnelId TunnelSet::add_tunnel(FlowId flow, Path path, bool dynamic) {
   return tunnels_.back().id;
 }
 
-bool TunnelSet::uses_link(const Network&, TunnelId t, LinkId e) const {
-  const Tunnel& tun = tunnel(t);
-  return std::find(tun.path.begin(), tun.path.end(), e) != tun.path.end();
-}
-
 bool TunnelSet::uses_fiber(const Network& net, TunnelId t, FiberId f) const {
   return path_uses_fiber(net, tunnel(t).path, f);
 }

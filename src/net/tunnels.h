@@ -46,8 +46,7 @@ class TunnelSet {
     return flow_tunnels_.at(static_cast<std::size_t>(f));
   }
 
-  // L(t, e): does tunnel t traverse directed link e?
-  bool uses_link(const Network& net, TunnelId t, LinkId e) const;
+  // Does tunnel t ride fiber f (in either direction)?
   bool uses_fiber(const Network& net, TunnelId t, FiberId f) const;
 
   // A tunnel is alive under a fiber-failure set (ascending fiber ids) if

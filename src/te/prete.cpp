@@ -115,8 +115,6 @@ PreTeScheme::Outcome PreTeScheme::compute_with_prepared(
     if (!prepared.believed.degraded[static_cast<std::size_t>(f)]) continue;
     const TunnelUpdateResult r = update_tunnels_for_degradation(
         network, flows, tunnels, f, config_.tunnel_update);
-    outcome.tunnel_update.affected_flows += r.affected_flows;
-    outcome.tunnel_update.affected_tunnels += r.affected_tunnels;
     outcome.tunnel_update.shortfall += r.shortfall;
     outcome.tunnel_update.created.insert(outcome.tunnel_update.created.end(),
                                          r.created.begin(), r.created.end());
@@ -176,7 +174,6 @@ void PreTeScheme::add_counters(CacheStats& stats, const ShapeState& state) {
   stats.cuts_replayed += state.cut_bank.replayed;
   stats.cuts_invalidated += state.cut_bank.invalidated;
   stats.cuts_banked += state.cut_bank.inserted;
-  stats.cut_evictions += state.cut_bank.evicted;
 }
 
 }  // namespace prete::te

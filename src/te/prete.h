@@ -143,7 +143,6 @@ class PreTeScheme {
     int cuts_replayed = 0;
     int cuts_invalidated = 0;
     int cuts_banked = 0;
-    int cut_evictions = 0;
   };
   CacheStats cache_stats() const;
 

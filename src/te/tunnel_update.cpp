@@ -25,8 +25,6 @@ TunnelUpdateResult update_tunnels_for_degradation(
       if (tunnels.uses_fiber(network, t, degraded_fiber)) ++lambda;
     }
     if (lambda == 0) continue;
-    ++result.affected_flows;
-    result.affected_tunnels += lambda;
 
     const int want = std::min(
         config.max_new_tunnels_per_flow,

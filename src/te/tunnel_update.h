@@ -18,10 +18,6 @@ struct TunnelUpdateConfig {
 struct TunnelUpdateResult {
   // Ids of the tunnels created (all flagged dynamic in the tunnel set).
   std::vector<net::TunnelId> created;
-  // Number of flows that had at least one affected tunnel.
-  int affected_flows = 0;
-  // Total affected tunnels (the Lambda values summed).
-  int affected_tunnels = 0;
   // Sum over affected flows of (tunnels wanted - tunnels created): nonzero
   // only when G' genuinely cannot supply enough distinct fiber-avoiding
   // paths (e.g. the degraded fiber is a bridge). Callers should treat a

@@ -260,22 +260,4 @@ ChiSquareResult chi_square_binned(std::span<const double> values,
   return chi_square_independence(table);
 }
 
-std::vector<HistogramBin> histogram(std::span<const double> values, int bins,
-                                    double lo, double hi) {
-  if (bins < 1 || hi <= lo) throw std::invalid_argument("histogram: bad range");
-  std::vector<HistogramBin> out;
-  out.reserve(static_cast<std::size_t>(bins));
-  const double width = (hi - lo) / bins;
-  for (int b = 0; b < bins; ++b) {
-    out.push_back({lo + b * width, lo + (b + 1) * width, 0});
-  }
-  for (double v : values) {
-    if (v < lo || v > hi) continue;
-    auto idx = static_cast<std::size_t>((v - lo) / width);
-    if (idx >= out.size()) idx = out.size() - 1;
-    ++out[idx].count;
-  }
-  return out;
-}
-
 }  // namespace prete::util

@@ -73,13 +73,4 @@ ChiSquareResult chi_square_independence(const std::vector<std::vector<double>>& 
 ChiSquareResult chi_square_binned(std::span<const double> values,
                                   std::span<const int> outcomes, int bins);
 
-// Histogram helper: equal-width bins over [lo, hi].
-struct HistogramBin {
-  double lo;
-  double hi;
-  std::size_t count;
-};
-std::vector<HistogramBin> histogram(std::span<const double> values, int bins,
-                                    double lo, double hi);
-
 }  // namespace prete::util

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "ml/encoder.h"
-#include "ml/logistic.h"
 #include "ml/mlp.h"
 #include "ml/predictor.h"
 #include "util/rng.h"
@@ -97,24 +96,6 @@ TEST(PredictorGuardTest, MlpClampsOutOfRangePrior) {
   MlpPredictor mlp(enc, config);
   mlp.train(train);
   EXPECT_DOUBLE_EQ(mlp.predict(corrupted_features(kNan)), 1.0);
-}
-
-TEST(PredictorGuardTest, LogisticFallsBackToStaticPriorOnNonFiniteFeatures) {
-  util::Rng rng(13);
-  const Dataset train = small_dataset(200, rng);
-  FeatureEncoder enc;
-  enc.fit(train);
-  LogisticConfig config;
-  config.static_prior = 0.3;
-  LogisticPredictor lr(enc, config);
-  lr.train(train);
-
-  EXPECT_DOUBLE_EQ(lr.predict(corrupted_features(kNan)), 0.3);
-  EXPECT_DOUBLE_EQ(lr.predict(corrupted_features(-kInf)), 0.3);
-  const double live = lr.predict(corrupted_features(9.0));
-  EXPECT_TRUE(std::isfinite(live));
-  EXPECT_GE(live, 0.0);
-  EXPECT_LE(live, 1.0);
 }
 
 TEST(PredictorGuardTest, EncoderToleratesNonFiniteFields) {

@@ -13,8 +13,6 @@ TEST(TunnelSetTest, AddAndQuery) {
   // Flow 0 = s1->s2 via direct link 0.
   const TunnelId t = ts.add_tunnel(0, {0});
   EXPECT_EQ(ts.num_tunnels(), 1);
-  EXPECT_TRUE(ts.uses_link(topo.network, t, 0));
-  EXPECT_FALSE(ts.uses_link(topo.network, t, 2));
   EXPECT_TRUE(ts.uses_fiber(topo.network, t, 0));
   EXPECT_FALSE(ts.uses_fiber(topo.network, t, 1));
 }

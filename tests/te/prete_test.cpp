@@ -59,7 +59,8 @@ TEST(PreTeTest, DegradationTriggersTunnelsAndHighProbability) {
 
   // Algorithm 1 created tunnels avoiding fiber 0.
   EXPECT_GT(outcome.tunnel_update.created.size(), 0u);
-  EXPECT_EQ(outcome.tunnel_update.affected_flows, 2);
+  // Flow 1 also rides fiber 0 but has no detour (Figure 7).
+  EXPECT_EQ(outcome.tunnel_update.shortfall, 1);
   // The believed scenario set gives fiber 0 its NN probability: the
   // fiber-0-fails scenario must be prominent.
   bool found = false;

@@ -22,8 +22,10 @@ TEST(TunnelUpdateTest, TriangleFigure7) {
 
   const auto result = update_tunnels_for_degradation(
       topo.network, topo.flows, tunnels, /*degraded_fiber=*/0);
-  EXPECT_EQ(result.affected_flows, 2);   // both flows have tunnels on fiber 0
-  EXPECT_EQ(result.affected_tunnels, 2);
+  // Both flows have a tunnel on fiber 0 and want one detour each; flow 1
+  // has none, so one tunnel is created and one is short.
+  EXPECT_EQ(result.created.size(), 1u);
+  EXPECT_EQ(result.shortfall, 1);
   // New tunnels avoid fiber 0 and are marked dynamic.
   for (net::TunnelId t : result.created) {
     EXPECT_TRUE(tunnels.tunnel(t).dynamic);
@@ -44,8 +46,8 @@ TEST(TunnelUpdateTest, UnaffectedFiberIsNoOp) {
   tunnels.add_tunnel(1, {2});
   const auto result = update_tunnels_for_degradation(
       topo.network, topo.flows, tunnels, /*degraded_fiber=*/2);
-  EXPECT_EQ(result.affected_flows, 0);
   EXPECT_TRUE(result.created.empty());
+  EXPECT_EQ(result.shortfall, 0);
   EXPECT_EQ(tunnels.num_tunnels(), 2);
 }
 
@@ -165,8 +167,7 @@ TEST(TunnelUpdateTest, TopsUpWhenShortPathsClusterOnDegradedFiber) {
 
   const auto result = update_tunnels_for_degradation(
       f.topo.network, f.topo.flows, tunnels, /*degraded_fiber=*/0);
-  EXPECT_EQ(result.affected_tunnels, 3);
-  EXPECT_EQ(result.created.size(), 3u);
+  EXPECT_EQ(result.created.size(), 3u);  // one per affected tunnel
   EXPECT_EQ(result.shortfall, 0);
   for (net::TunnelId t : result.created) {
     EXPECT_FALSE(tunnels.uses_fiber(f.topo.network, t, 0));

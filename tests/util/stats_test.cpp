@@ -183,21 +183,5 @@ TEST(ChiSquareBinnedTest, IndependentFeatureDoesNotReject) {
   EXPECT_GT(result.p_value, 0.001);
 }
 
-TEST(HistogramTest, CountsFall) {
-  std::vector<double> v{0.1, 0.2, 0.5, 0.9, 1.0};
-  const auto bins = histogram(v, 2, 0.0, 1.0);
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_EQ(bins[0].count, 2u);  // 0.1 and 0.2; 0.5 lands in the upper bin
-  EXPECT_EQ(bins[1].count, 3u);  // 0.5, 0.9, 1.0 (upper edge inclusive)
-}
-
-TEST(HistogramTest, OutOfRangeIgnored) {
-  std::vector<double> v{-1.0, 0.5, 2.0};
-  const auto bins = histogram(v, 4, 0.0, 1.0);
-  std::size_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 1u);
-}
-
 }  // namespace
 }  // namespace prete::util
